@@ -52,18 +52,14 @@ struct DrainScratch {
 /// first run builds the components and every later run `reset`s them in
 /// place, reusing the process models, dispatcher queues, KSRT slab, per-SM
 /// state, event heap and scratch vectors the previous scenarios grew.
-/// Results are byte-identical to the rebuild-per-run
-/// [`Simulator::run`] path; only the allocation behaviour differs.
+/// Results are byte-identical to [`Simulator::run`], which builds a fresh
+/// workspace per call; only the allocation behaviour differs.
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
     host: Option<HostSystem>,
     engine: Option<ExecutionEngine>,
     queue: EventQueue<Event>,
     scratch: DrainScratch,
-    /// Same-timestamp cohort popped by `EventQueue::pop_batch_into`; lives
-    /// beside (not inside) `DrainScratch` so the batch can be iterated
-    /// while drains borrow the scratch.
-    batch: Vec<Event>,
 }
 
 impl SimWorkspace {
@@ -417,7 +413,7 @@ impl Simulator {
         // scheduling rarely grows the heap. Horizon-capped runs use a huge
         // replay target as "never finish", so clamp the guess.
         let queue = &mut ws.queue;
-        queue.reset_with(engine_params.queue);
+        queue.reset();
         queue.reserve(
             (workload.min_completions() as usize)
                 .saturating_mul(workload.len())
@@ -456,28 +452,17 @@ impl Simulator {
             SimTime::ZERO,
         );
 
-        let end_time;
-        // Events that share one timestamp are popped as a batch and the
-        // per-timestamp bookkeeping (deadline peek, queue pop) is paid once
-        // per batch. When the run's stop condition fires mid-batch, the
-        // already-popped tail is left unhandled — exactly the events a
-        // one-pop-at-a-time loop would have left pending — and subtracted
-        // from the processed count below.
-        let batch = &mut ws.batch;
-        let mut unhandled_tail = 0u64;
-        'run: loop {
+        let end_time = loop {
             if completions_dirty {
                 completions_dirty = false;
                 if host.all_completed_at_least(target) {
-                    end_time = Self::latest_needed_completion(&iterations, target);
-                    break;
+                    break Self::latest_needed_completion(&iterations, target);
                 }
             }
             if let Some(d) = deadline {
                 // Stop at the deadline: no further event at or before it.
                 if queue.peek_time().is_none_or(|t| t > d) {
-                    end_time = d;
-                    break;
+                    break d;
                 }
             }
             if queue.processed() >= self.config.max_events {
@@ -485,58 +470,35 @@ impl Simulator {
                     processed: queue.processed(),
                 });
             }
-            let Some(now) = queue.pop_batch_into(batch) else {
+            let Some((now, event)) = queue.pop() else {
                 return Err(SimError::internal(format!(
                     "simulation deadlocked at {} with completions {:?}",
                     queue.now(),
                     host.completions()
                 )));
             };
-            let before_batch = queue.processed() - batch.len() as u64;
-            for (i, &event) in batch.iter().enumerate() {
-                if i > 0 {
-                    // Re-check the stop conditions an unbatched loop would
-                    // have evaluated between these two pops. The deadline
-                    // check is skipped on purpose: the next event of the
-                    // batch is pending at `now <= deadline`, so it can
-                    // never fire here.
-                    if completions_dirty {
-                        completions_dirty = false;
-                        if host.all_completed_at_least(target) {
-                            end_time = Self::latest_needed_completion(&iterations, target);
-                            unhandled_tail = (batch.len() - i) as u64;
-                            break 'run;
-                        }
-                    }
-                    let processed = before_batch + i as u64;
-                    if processed >= self.config.max_events {
-                        return Err(SimError::EventBudgetExceeded { processed });
-                    }
-                }
-                match event {
-                    Event::Host(e) => host.handle(now, e),
-                    Event::Engine(e) => engine.handle(now, e),
-                }
-                // A drain when neither component produced output is an
-                // observable no-op, so batching pays the drain (and the
-                // completion-dirty bookkeeping behind it) only for events
-                // that actually emitted something.
-                if host.has_pending_outputs() || engine.has_pending_outputs() {
-                    completions_dirty |= Self::drain(
-                        host,
-                        engine,
-                        policy_impl.as_mut(),
-                        queue,
-                        workload,
-                        &mut iterations,
-                        &mut kernel_completions,
-                        &mut next_launch_id,
-                        scratch,
-                        now,
-                    );
-                }
+            match event {
+                Event::Host(e) => host.handle(now, e),
+                Event::Engine(e) => engine.handle(now, e),
             }
-        }
+            // A drain when neither component produced output is an
+            // observable no-op, so only events that emitted something pay
+            // the drain (and the completion-dirty bookkeeping behind it).
+            if host.has_pending_outputs() || engine.has_pending_outputs() {
+                completions_dirty |= Self::drain(
+                    host,
+                    engine,
+                    policy_impl.as_mut(),
+                    queue,
+                    workload,
+                    &mut iterations,
+                    &mut kernel_completions,
+                    &mut next_launch_id,
+                    scratch,
+                    now,
+                );
+            }
+        };
 
         // Closed-loop runs have no legal way to schedule into the past; a
         // clamp here means a component broke causality.
@@ -555,7 +517,7 @@ impl Simulator {
             iterations,
             kernel_completions,
             engine_stats,
-            events_processed: queue.processed() - unhandled_tail,
+            events_processed: queue.processed(),
             arrival_stats: host.arrival_stats(end_time),
         })
     }

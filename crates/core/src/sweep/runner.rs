@@ -3,7 +3,7 @@
 use crate::report::TextTable;
 use crate::simulator::{SimWorkspace, SimulationRun, Simulator};
 use crate::sweep::{FoldedScenario, Scenario, ScenarioResult, SweepPlan};
-use gpreempt_sim::{thread_allocations, QueueKind};
+use gpreempt_sim::thread_allocations;
 use gpreempt_trace::TraceInterner;
 use gpreempt_types::SimError;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -36,23 +36,6 @@ pub type ScenarioTap<'a, T> = dyn Fn(&Scenario, &T) -> Result<(), SimError> + Sy
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepRunner {
     jobs: usize,
-    reuse: bool,
-    queue: QueueChoice,
-    affinity: bool,
-}
-
-/// How the runner picks each scenario's event-queue backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueueChoice {
-    /// Use whatever the plan's base configuration selects.
-    Plan,
-    /// Per-scenario heuristic: the calendar queue wins only under the
-    /// churn-heavy open-arrival workloads (timer-driven releases keep the
-    /// near-future bucket wheel full); closed-loop workloads run faster on
-    /// the plain heap. Results are bit-identical either way.
-    Auto,
-    /// One backend for every scenario.
-    Fixed(QueueKind),
 }
 
 impl SweepRunner {
@@ -66,12 +49,7 @@ impl SweepRunner {
         } else {
             jobs
         };
-        SweepRunner {
-            jobs,
-            reuse: true,
-            queue: QueueChoice::Plan,
-            affinity: false,
-        }
+        SweepRunner { jobs }
     }
 
     /// A single-threaded runner (the historical harness behaviour).
@@ -79,73 +57,9 @@ impl SweepRunner {
         SweepRunner::new(1)
     }
 
-    /// Controls workspace reuse across the scenarios a worker runs.
-    ///
-    /// On by default: each worker keeps one [`SimWorkspace`] arena for its
-    /// whole scenario stream. `false` rebuilds the workspace from scratch
-    /// per scenario — the pre-arena behaviour, kept as the baseline leg of
-    /// the rebuild-vs-reuse benchmark. Results are identical either way
-    /// (reset is observationally a fresh construction); only allocation
-    /// traffic and wall clock differ.
-    #[must_use]
-    pub fn with_reuse(mut self, reuse: bool) -> Self {
-        self.reuse = reuse;
-        self
-    }
-
-    /// Overrides the event-queue backend every scenario runs on, regardless
-    /// of what the plan's base configuration selects. Results are
-    /// bit-identical across backends (the queue contract pins delivery
-    /// order); this exists for the heap-vs-calendar benchmark legs and for
-    /// harness flags, so a whole sweep can be flipped without rebuilding
-    /// its plan.
-    #[must_use]
-    pub fn with_queue(mut self, kind: QueueKind) -> Self {
-        self.queue = QueueChoice::Fixed(kind);
-        self
-    }
-
-    /// Picks the event-queue backend per scenario: the calendar queue for
-    /// churn-heavy open-arrival workloads (where its bucket wheel wins),
-    /// the plain heap for everything else (where the calendar's bookkeeping
-    /// loses ~1.1–1.5×). Results are bit-identical across backends, so this
-    /// is purely a throughput heuristic.
-    #[must_use]
-    pub fn with_auto_queue(mut self) -> Self {
-        self.queue = QueueChoice::Auto;
-        self
-    }
-
-    /// Pins each spawned worker thread to one CPU core (worker `w` to core
-    /// `w mod cpus`), so a worker's arena and intern table stop migrating
-    /// across cores mid-stream. Best effort: platforms (or sandboxes)
-    /// rejecting the affinity syscall run unpinned. The sequential path
-    /// never pins — it would confine the *caller's* thread beyond the
-    /// sweep's lifetime.
-    #[must_use]
-    pub fn with_affinity(mut self, affinity: bool) -> Self {
-        self.affinity = affinity;
-        self
-    }
-
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// The configured fixed event-queue override, if any (`None` for both
-    /// the plan default and [`with_auto_queue`](Self::with_auto_queue)
-    /// mode).
-    pub fn queue(&self) -> Option<QueueKind> {
-        match self.queue {
-            QueueChoice::Fixed(kind) => Some(kind),
-            QueueChoice::Plan | QueueChoice::Auto => None,
-        }
-    }
-
-    /// Whether worker-thread core pinning is enabled.
-    pub fn affinity(&self) -> bool {
-        self.affinity
     }
 
     /// Scenario ids a worker claims per shared-counter increment.
@@ -292,18 +206,8 @@ impl SweepRunner {
             let mut ws = SimWorkspace::new();
             let mut interner = TraceInterner::new();
             for (i, &id) in ids.iter().enumerate() {
-                if !self.reuse {
-                    ws = SimWorkspace::new();
-                }
-                let outcome = Self::execute(
-                    plan,
-                    &scenarios[id],
-                    self.queue,
-                    &mut ws,
-                    &mut interner,
-                    fold,
-                    tap,
-                );
+                let outcome =
+                    Self::execute(plan, &scenarios[id], &mut ws, &mut interner, fold, tap);
                 let failed = outcome.is_err();
                 slots[i] = Some(outcome);
                 if failed {
@@ -316,20 +220,10 @@ impl SweepRunner {
             let chunk = Self::chunk_size(ids.len(), workers);
             let harvested = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
-                    .map(|w| {
+                    .map(|_| {
                         let next = &next;
                         let failed = &failed;
                         scope.spawn(move || {
-                            // Optional core pinning: worker w sticks to one
-                            // core for its whole scenario stream, so the
-                            // arena it warms below stays cache-local. Best
-                            // effort — a rejected pin runs unpinned.
-                            if self.affinity {
-                                let cpus = std::thread::available_parallelism()
-                                    .map(std::num::NonZeroUsize::get)
-                                    .unwrap_or(1);
-                                let _ = gpreempt_sim::pin_current_thread(w % cpus);
-                            }
                             let mut local = Vec::new();
                             // One arena per worker: every scenario this
                             // worker pulls reuses the same host/engine/queue
@@ -357,13 +251,9 @@ impl SweepRunner {
                                 }
                                 let end = (start + chunk).min(ids.len());
                                 for (i, &id) in ids[start..end].iter().enumerate() {
-                                    if !self.reuse {
-                                        ws = SimWorkspace::new();
-                                    }
                                     let outcome = Self::execute(
                                         plan,
                                         &scenarios[id],
-                                        self.queue,
                                         &mut ws,
                                         &mut interner,
                                         fold,
@@ -421,7 +311,6 @@ impl SweepRunner {
     fn execute<T>(
         plan: &SweepPlan,
         scenario: &Scenario,
-        queue: QueueChoice,
         ws: &mut SimWorkspace,
         interner: &mut TraceInterner,
         fold: &ScenarioFold<'_, T>,
@@ -433,21 +322,6 @@ impl SweepRunner {
         }
         if let Some(seed) = scenario.seed {
             config = config.with_seed(seed);
-        }
-        // Queue backends deliver bit-identical event orders, so this choice
-        // affects throughput only — which is exactly why Auto can pick per
-        // scenario without perturbing any result.
-        let kind = match queue {
-            QueueChoice::Plan => None,
-            QueueChoice::Fixed(kind) => Some(kind),
-            QueueChoice::Auto => Some(if scenario.workload.has_open_arrivals() {
-                QueueKind::Calendar
-            } else {
-                QueueKind::Heap
-            }),
-        };
-        if let Some(kind) = kind {
-            config.engine.queue = kind;
         }
         let wall = Instant::now();
         let allocs_before = thread_allocations();
@@ -857,26 +731,47 @@ mod tests {
         assert_eq!(SweepRunner::chunk_size(10_000, 2), 32);
     }
 
-    /// The queue override flips every scenario's event-queue backend; the
-    /// queue contract makes the results bit-identical either way.
-    #[test]
-    fn queue_override_is_bit_identical_across_backends() {
-        let plan = tiny_plan(3);
-        let runner = SweepRunner::new(2);
-        assert_eq!(runner.queue(), None);
-        let heap = runner.with_queue(QueueKind::Heap);
-        assert_eq!(heap.queue(), Some(QueueKind::Heap));
-        let a = heap.run(&plan).unwrap();
-        let b = runner.with_queue(QueueKind::Calendar).run(&plan).unwrap();
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-    }
-
+    /// A worker's reused workspace is observationally a fresh one: a
+    /// sequential `run_fold` sweep, which drives every scenario through one
+    /// workspace, matches a fresh `Simulator::run`/`run_until` per scenario.
     #[test]
     fn rebuild_results_match_reuse() {
-        let plan = tiny_plan(4);
-        let reuse = SweepRunner::new(2).run(&plan).unwrap();
-        let rebuild = SweepRunner::new(2).with_reuse(false).run(&plan).unwrap();
-        assert_eq!(fingerprint(&reuse), fingerprint(&rebuild));
+        let mut plan = tiny_plan(4);
+        let gpu = GpuConfig::default();
+        let spmv = parboil::benchmark("spmv", &gpu).unwrap();
+        let capped =
+            Workload::new("capped", vec![ProcessSpec::new(spmv)]).with_min_completions(1_000);
+        plan.push(
+            Scenario::new("test", "capped", capped, PolicyKind::Fcfs)
+                .with_seed(7)
+                .with_horizon(gpreempt_types::SimTime::from_millis(2)),
+        );
+        let reused = SweepRunner::sequential()
+            .run_fold(&plan, &|_, run| {
+                Ok((run.events_processed(), run.end_time()))
+            })
+            .unwrap();
+        for (scenario, reused) in plan.scenarios().iter().zip(reused.into_values()) {
+            let mut config = plan.config().clone();
+            if let Some(selection) = scenario.selection {
+                config = config.with_selection(selection);
+            }
+            if let Some(seed) = scenario.seed {
+                config = config.with_seed(seed);
+            }
+            let sim = Simulator::new(config);
+            let fresh = match scenario.horizon {
+                Some(horizon) => sim.run_until(&scenario.workload, scenario.policy, horizon),
+                None => sim.run(&scenario.workload, scenario.policy),
+            }
+            .unwrap();
+            assert_eq!(
+                reused,
+                (fresh.events_processed(), fresh.end_time()),
+                "scenario {}",
+                scenario.id
+            );
+        }
     }
 
     #[test]
@@ -1032,35 +927,6 @@ mod tests {
             .run_fold_subset(&plan, &[], &|_, run| Ok(run.events_processed()))
             .unwrap();
         assert!(results.is_empty());
-    }
-
-    /// The auto queue heuristic resolves per scenario and cannot change
-    /// results: a closed-loop plan under auto is bit-identical to the same
-    /// plan pinned to either backend.
-    #[test]
-    fn auto_queue_is_bit_identical_to_fixed_backends() {
-        let plan = tiny_plan(3);
-        let runner = SweepRunner::new(2);
-        let auto = runner.with_auto_queue();
-        assert_eq!(auto.queue(), None);
-        let a = auto.run(&plan).unwrap();
-        let heap = runner.with_queue(QueueKind::Heap).run(&plan).unwrap();
-        assert_eq!(fingerprint(&a), fingerprint(&heap));
-    }
-
-    /// Core pinning is a pure performance hint: pinned workers produce
-    /// bit-identical results (and the builder round-trips).
-    #[test]
-    fn affinity_does_not_change_results() {
-        let plan = tiny_plan(4);
-        let runner = SweepRunner::new(2);
-        assert!(!runner.affinity());
-        let pinned = runner.with_affinity(true);
-        assert!(pinned.affinity());
-        assert_eq!(
-            fingerprint(&runner.run(&plan).unwrap()),
-            fingerprint(&pinned.run(&plan).unwrap())
-        );
     }
 
     #[test]

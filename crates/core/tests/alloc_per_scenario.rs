@@ -7,7 +7,8 @@
 //! tables, event-queue heap, drain scratch); every later scenario resets
 //! those structures in place and only allocates what genuinely belongs to
 //! its result (the run body's record vectors). The test pins both the
-//! absolute steady-state bound and the contrast against rebuild mode.
+//! absolute steady-state bound and the contrast against the stream's own
+//! arena-building first scenario.
 //!
 //! One test per file: the counting global allocator is process-wide. Unlike
 //! `alloc_per_event.rs` (which hand-rolls a process-global counter), this
@@ -47,9 +48,8 @@ fn plan(scenarios: usize, min_completions: u32) -> SweepPlan {
 }
 
 /// Per-scenario allocation counts of a sequential streaming run.
-fn allocs_per_scenario(plan: &SweepPlan, reuse: bool) -> Vec<u64> {
+fn allocs_per_scenario(plan: &SweepPlan) -> Vec<u64> {
     SweepRunner::sequential()
-        .with_reuse(reuse)
         .run_fold(plan, &|_, run| Ok(run.events_processed()))
         .unwrap()
         .outcomes()
@@ -62,15 +62,14 @@ fn allocs_per_scenario(plan: &SweepPlan, reuse: bool) -> Vec<u64> {
 fn steady_state_scenarios_allocate_a_small_constant() {
     // Warm lazy statics (benchmark tables) so scenario 0 is not charged for
     // them.
-    let _ = allocs_per_scenario(&plan(1, 1), true);
+    let _ = allocs_per_scenario(&plan(1, 1));
 
-    let reuse = allocs_per_scenario(&plan(6, 2), true);
-    let rebuild = allocs_per_scenario(&plan(6, 2), false);
+    let stream = allocs_per_scenario(&plan(6, 2));
 
     // Scenario 0 builds the arena; every later scenario reuses it. The
     // steady-state count covers only per-run record vectors and folding —
     // a constant independent of the arena size, pinned with wide margin.
-    let steady = &reuse[2..];
+    let steady = &stream[2..];
     for (i, &a) in steady.iter().enumerate() {
         assert!(
             a <= 2_000,
@@ -79,20 +78,21 @@ fn steady_state_scenarios_allocate_a_small_constant() {
         );
     }
 
-    // Rebuild mode re-creates host model, engine tables and queue per
-    // scenario; reuse must undercut it by a wide factor.
+    // Scenario 0 builds the host model, engine tables and queue a fresh
+    // workspace needs; the reused steady state must undercut it by a wide
+    // factor.
     let steady_mean = steady.iter().sum::<u64>() / steady.len() as u64;
-    let rebuild_mean = rebuild[2..].iter().sum::<u64>() / rebuild[2..].len() as u64;
+    let fresh = stream[0];
     assert!(
-        steady_mean * 4 <= rebuild_mean,
+        steady_mean * 4 <= fresh,
         "reuse steady-state ({steady_mean} allocs/scenario) should be far below \
-         rebuild ({rebuild_mean} allocs/scenario)"
+         the arena-building first scenario ({fresh} allocs)"
     );
 
     // The bound is O(1) in simulated work too: quintupling the replay
     // target must not proportionally scale steady-state allocations (vector
     // growth amortises to a handful of doublings).
-    let longer = allocs_per_scenario(&plan(6, 10), true);
+    let longer = allocs_per_scenario(&plan(6, 10));
     let longer_mean = longer[2..].iter().sum::<u64>() / longer[2..].len() as u64;
     assert!(
         longer_mean < steady_mean.max(1) * 3,

@@ -26,14 +26,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod affinity;
 pub mod alloc_count;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 
-pub use affinity::pin_current_thread;
 pub use alloc_count::{thread_allocations, CountingAlloc};
-pub use queue::{EventQueue, QueueKind};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::Summary;

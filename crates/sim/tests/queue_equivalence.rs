@@ -1,22 +1,24 @@
-//! Property-based equivalence between the heap and calendar queue backends.
+//! Property-based equivalence between [`EventQueue`] and a plain reference
+//! model.
 //!
 //! The [`EventQueue`] contract is that delivery order is a pure function of
-//! the operation sequence — `(time, insertion-seq)` order, with past times
-//! clamped to the clock — no matter which [`QueueKind`] backs it. These
-//! tests drive both backends through identical random interleavings of
-//! `schedule` / `schedule_after` / `pop` / `pop_batch_into` / `reset` and
-//! require the full observable history (popped times and payloads, batch
-//! boundaries, clock, processed and clamped counters, pending length) to
-//! match exactly. Whole-simulation byte-identity between backends rests on
+//! the operation sequence: `(time, insertion-seq)` order, with past times
+//! clamped to the clock. The model states that contract in the most direct
+//! way possible — a `Vec` of `(time, seq, payload)` scanned for its minimum
+//! on every pop. These tests drive the queue and the model through
+//! identical random interleavings of `schedule` / `schedule_after` / `pop`
+//! / `reset` and require the full observable history (popped times and
+//! payloads, clock, processed and clamped counters, pending length, next
+//! pending time) to match exactly. Whole-simulation determinism rests on
 //! this property.
 
-use gpreempt_sim::{EventQueue, QueueKind};
+use gpreempt_sim::EventQueue;
 use gpreempt_types::SimTime;
 use proptest::prelude::*;
 
 /// One step of the interleaving. Times are raw nanosecond values so the
 /// strategy can freely generate past, present and future schedules; the
-/// queue is expected to clamp (and count) the past ones identically.
+/// queue is expected to clamp (and count) the past ones like the model.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Schedule at an absolute time (may lie in the past → clamp).
@@ -25,8 +27,6 @@ enum Op {
     ScheduleAfter(u64),
     /// Pop a single event.
     Pop,
-    /// Pop a whole same-timestamp batch.
-    PopBatch,
     /// Reset the queue to a fresh state (keeps the allocation).
     Reset,
 }
@@ -34,14 +34,13 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Weighted choice over op kinds (the vendored proptest has no
     // `prop_oneof!`): clustered absolute times force same-timestamp
-    // collisions (FIFO order must hold), the uniform tail exercises the
-    // calendar's overflow and resize paths.
+    // collisions (FIFO order must hold), the uniform tail spreads
+    // timestamps over a wide range.
     (0u32..16, 0u64..100_000_000).prop_map(|(sel, raw)| match sel {
         0..=3 => Op::Schedule((raw % 50_000) / 500 * 500),
         4..=5 => Op::Schedule(raw),
         6..=8 => Op::ScheduleAfter(raw % 10_000),
-        9..=12 => Op::Pop,
-        13..=14 => Op::PopBatch,
+        9..=14 => Op::Pop,
         _ => Op::Reset,
     })
 }
@@ -49,8 +48,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// Observable history of one run: everything a caller could see.
 #[derive(Debug, PartialEq, Eq)]
 struct History {
-    /// (timestamp nanos, payload) of every popped event; batch pops append
-    /// a `u64::MAX` sentinel so batch boundaries must line up too.
+    /// (timestamp nanos, payload) of every popped event.
     pops: Vec<(u64, u64)>,
     processed: u64,
     clamped: u64,
@@ -59,11 +57,48 @@ struct History {
     peek: Option<u64>,
 }
 
-fn run(kind: QueueKind, ops: &[Op]) -> History {
-    let mut q: EventQueue<u64> = EventQueue::with_kind(kind);
-    assert_eq!(q.kind(), kind);
+/// The reference model: pending `(time, seq, payload)` entries in
+/// insertion order, popped by a linear minimum scan over `(time, seq)`.
+#[derive(Default)]
+struct Model {
+    pending: Vec<(u64, u64, u64)>,
+    next_seq: u64,
+    now: u64,
+    processed: u64,
+    clamped: u64,
+}
+
+impl Model {
+    fn schedule(&mut self, time: u64, payload: u64) {
+        let time = if time < self.now {
+            self.clamped += 1;
+            self.now
+        } else {
+            time
+        };
+        self.pending.push((time, self.next_seq, payload));
+        self.next_seq += 1;
+    }
+
+    fn min_index(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        let (time, _, payload) = self.pending.swap_remove(self.min_index()?);
+        self.now = time;
+        self.processed += 1;
+        Some((time, payload))
+    }
+
+    fn peek(&self) -> Option<u64> {
+        self.min_index().map(|i| self.pending[i].0)
+    }
+}
+
+fn run_queue(ops: &[Op]) -> History {
+    let mut q: EventQueue<u64> = EventQueue::new();
     let mut pops = Vec::new();
-    let mut batch = Vec::new();
     let mut payload = 0u64;
     for &op in ops {
         match op {
@@ -80,14 +115,6 @@ fn run(kind: QueueKind, ops: &[Op]) -> History {
                     pops.push((t.as_nanos(), e));
                 }
             }
-            Op::PopBatch => {
-                if let Some(t) = q.pop_batch_into(&mut batch) {
-                    for &e in &batch {
-                        pops.push((t.as_nanos(), e));
-                    }
-                    pops.push((u64::MAX, u64::MAX));
-                }
-            }
             Op::Reset => q.reset(),
         }
     }
@@ -101,30 +128,55 @@ fn run(kind: QueueKind, ops: &[Op]) -> History {
     }
 }
 
+fn run_model(ops: &[Op]) -> History {
+    let mut m = Model::default();
+    let mut pops = Vec::new();
+    let mut payload = 0u64;
+    for &op in ops {
+        match op {
+            Op::Schedule(t) => {
+                m.schedule(t, payload);
+                payload += 1;
+            }
+            Op::ScheduleAfter(d) => {
+                m.schedule(m.now + d, payload);
+                payload += 1;
+            }
+            Op::Pop => pops.extend(m.pop()),
+            Op::Reset => m = Model::default(),
+        }
+    }
+    History {
+        pops,
+        processed: m.processed,
+        clamped: m.clamped,
+        now: m.now,
+        len: m.pending.len(),
+        peek: m.peek(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random interleavings produce identical observable histories on both
-    /// backends.
+    /// Random interleavings produce identical observable histories on the
+    /// queue and the model.
     #[test]
-    fn heap_and_calendar_agree(ops in prop::collection::vec(op_strategy(), 0..400)) {
-        let heap = run(QueueKind::Heap, &ops);
-        let calendar = run(QueueKind::Calendar, &ops);
-        prop_assert_eq!(heap, calendar);
+    fn queue_matches_reference_model(ops in prop::collection::vec(op_strategy(), 0..400)) {
+        prop_assert_eq!(run_queue(&ops), run_model(&ops));
     }
 
     /// Draining everything after the interleaving yields the same total
-    /// order — i.e. the backends agree not just on what was popped during
-    /// the run but on everything left pending.
+    /// order — the queue agrees with the model not just on what was popped
+    /// during the run but on everything left pending.
     #[test]
-    fn backends_agree_on_the_full_drain(
+    fn queue_matches_reference_model_on_the_full_drain(
         ops in prop::collection::vec(op_strategy(), 0..200),
     ) {
         let mut drain_ops = ops;
         drain_ops.extend(std::iter::repeat_n(Op::Pop, 300));
-        let heap = run(QueueKind::Heap, &drain_ops);
-        let calendar = run(QueueKind::Calendar, &drain_ops);
-        prop_assert_eq!(heap.len, 0);
-        prop_assert_eq!(heap, calendar);
+        let queue = run_queue(&drain_ops);
+        prop_assert_eq!(queue.len, 0);
+        prop_assert_eq!(queue, run_model(&drain_ops));
     }
 }
