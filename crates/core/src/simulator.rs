@@ -16,6 +16,10 @@ use gpreempt_trace::TraceOp;
 use gpreempt_trace::{BenchmarkTrace, ProcessSpec, Workload};
 use gpreempt_types::{KernelLaunchId, ProcessId, SimError, SimTime};
 
+/// Debug builds check the engine's invariants every this many popped
+/// events (and once at the end of every run).
+const INVARIANT_CHECK_PERIOD: u64 = 1_024;
+
 /// One event of the combined simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
@@ -498,7 +502,13 @@ impl Simulator {
                     now,
                 );
             }
+            if cfg!(debug_assertions) && queue.processed() % INVARIANT_CHECK_PERIOD == 0 {
+                self.assert_engine_invariants(engine, workload, policy, queue.processed());
+            }
         };
+        if cfg!(debug_assertions) {
+            self.assert_engine_invariants(engine, workload, policy, queue.processed());
+        }
 
         // Closed-loop runs have no legal way to schedule into the past; a
         // clamp here means a component broke causality.
@@ -520,6 +530,26 @@ impl Simulator {
             events_processed: queue.processed(),
             arrival_stats: host.arrival_stats(end_time),
         })
+    }
+
+    /// Panics, naming the workload, policy, seed and event index, if the
+    /// engine's bookkeeping is inconsistent. Debug builds call it from the
+    /// run loop.
+    fn assert_engine_invariants(
+        &self,
+        engine: &ExecutionEngine,
+        workload: &Workload,
+        policy: PolicyKind,
+        event: u64,
+    ) {
+        if let Err(violation) = engine.check_invariants() {
+            panic!(
+                "engine invariant violated in workload {:?} under {policy} (seed {}) \
+                 after event {event}: {violation}",
+                workload.name(),
+                self.config.seed
+            );
+        }
     }
 
     /// Lower bound on the service one iteration of `trace` needs: every CPU
@@ -632,10 +662,19 @@ impl Simulator {
         scratch: &mut DrainScratch,
         now: SimTime,
     ) -> bool {
+        // A block completion that re-issues on its SM leaves only scheduled
+        // events behind. With the host idle and no completions or hooks,
+        // the full pass below would forward those events and stop, so do
+        // just that.
+        if !host.has_pending_outputs() && !engine.has_pending_notifications() {
+            engine.drain_scheduled_into(&mut scratch.engine_events);
+            for (t, e) in scratch.engine_events.drain(..) {
+                queue.schedule(t, Event::Engine(e));
+            }
+            return false;
+        }
         let mut completed_iterations = false;
         loop {
-            let mut progressed = false;
-
             host.drain_scheduled_into(&mut scratch.host_events);
             for (t, e) in scratch.host_events.drain(..) {
                 queue.schedule(t, Event::Host(e));
@@ -651,7 +690,6 @@ impl Simulator {
             // path.
             host.drain_release_requests_into(&mut scratch.releases);
             for i in 0..scratch.releases.len() {
-                progressed = true;
                 let req = scratch.releases[i];
                 let process = &host.processes()[req.process.index()];
                 let release = ReleaseInfo {
@@ -675,7 +713,6 @@ impl Simulator {
 
             host.drain_launches_into(&mut scratch.launches);
             for i in 0..scratch.launches.len() {
-                progressed = true;
                 let launch =
                     Self::build_launch(workload, host, &scratch.launches[i], next_launch_id);
                 engine.submit(launch, now);
@@ -691,16 +728,16 @@ impl Simulator {
             let first_new = kernel_completions.len();
             engine.drain_completions_into(kernel_completions);
             for completion in &kernel_completions[first_new..] {
-                progressed = true;
                 host.kernel_completed(now, completion.command);
             }
             engine.drain_hooks_into(&mut scratch.hooks);
             for hook in scratch.hooks.drain(..) {
-                progressed = true;
                 policy.on_hook(now, hook, engine);
             }
 
-            if !progressed {
+            // A pass only moves what is pending when it starts, so once
+            // nothing is left the next pass would be empty.
+            if !host.has_pending_outputs() && !engine.has_pending_outputs() {
                 break;
             }
         }

@@ -13,7 +13,17 @@
 //! scheduler scans stay on contiguous cache lines, and [`reset`]
 //! (ExecutionEngine::reset) rewinds everything without freeing, so one
 //! engine allocation can service an entire scenario stream.
+//!
+//! The engine also keeps three summaries of those tables up to date at
+//! every SMST/KSRT write: each kernel's owned-SM count (the token count
+//! DSS's Algorithm 1 reads), the idle-SM set and the occupied-slot set. The
+//! queries policies make on every hook ([`owned_sms`]
+//! (ExecutionEngine::owned_sms), [`first_idle_sm`]
+//! (ExecutionEngine::first_idle_sm), [`idle_sms`](ExecutionEngine::idle_sms),
+//! [`active_kernels`](ExecutionEngine::active_kernels)) read them instead of
+//! rescanning the tables.
 
+use crate::bitset::BitSet;
 use crate::estimator::{PreemptionEstimate, RemainingTimeEstimator};
 use crate::framework::{
     KernelState, KsrIndex, PreemptedBlock, ResidentBlock, SmCold, SmHot, SmState, SmStatus,
@@ -241,6 +251,13 @@ pub struct ExecutionEngine {
     sm_hot: Vec<SmHot>,
     sm_cold: Vec<SmCold>,
     ksrt: Vec<KsrSlot>,
+    /// Per-KSRT-slot number of SMs whose owner (`next`, else `current`) is
+    /// the slot's live kernel; zero for free slots.
+    owned: Vec<u32>,
+    /// Bit `i` is set exactly when SM `i` is idle.
+    idle: BitSet,
+    /// Bit `i` is set exactly when KSRT slot `i` holds a kernel.
+    occupied: BitSet,
     estimator: RemainingTimeEstimator,
     waiting_admission: VecDeque<KernelLaunch>,
     scheduled: Vec<(SimTime, EngineEvent)>,
@@ -269,6 +286,9 @@ impl ExecutionEngine {
             sm_hot: vec![SmHot::new(); n],
             sm_cold: (0..n).map(|_| SmCold::new()).collect(),
             ksrt: (0..n).map(|_| KsrSlot::new()).collect(),
+            owned: vec![0; n],
+            idle: BitSet::new(n, true),
+            occupied: BitSet::new(n, false),
             estimator: RemainingTimeEstimator::new(n),
             waiting_admission: VecDeque::new(),
             scheduled: Vec::new(),
@@ -321,6 +341,10 @@ impl ExecutionEngine {
         while self.ksrt.len() < n {
             self.ksrt.push(KsrSlot::new());
         }
+        self.owned.clear();
+        self.owned.resize(n, 0);
+        self.idle.reset(n, true);
+        self.occupied.reset(n, false);
         self.estimator.reset(n);
         self.waiting_admission.clear();
         self.scheduled.clear();
@@ -366,15 +390,32 @@ impl ExecutionEngine {
         }
     }
 
-    /// SMs that are currently idle, in SM-id order. Returns an iterator over
-    /// the SM Status Table — no allocation — so policies can scan it on
-    /// every hook without heap traffic.
+    /// SMs that are currently idle, in SM-id order. Iterates the engine's
+    /// idle-SM bitset — no allocation, and a word per 64 SMs instead of a
+    /// full SMST scan — so policies can query it on every hook.
     pub fn idle_sms(&self) -> impl Iterator<Item = SmId> + '_ {
-        self.sm_hot
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_idle())
-            .map(|(i, _)| SmId::new(i as u32))
+        self.idle.ones().map(|i| SmId::new(i as u32))
+    }
+
+    /// The lowest-id idle SM, if any.
+    pub fn first_idle_sm(&self) -> Option<SmId> {
+        self.idle.first_set().map(|i| SmId::new(i as u32))
+    }
+
+    /// Number of SMs owned by `ksr`: SMs executing it that are not in the
+    /// middle of being handed to another kernel, plus SMs reserved for it.
+    /// This is the kernel's token usage in DSS (Algorithm 1): an SM being
+    /// preempted away from `ksr` no longer counts towards it (the paper
+    /// returns the token at reservation time, §3.4), while an SM reserved
+    /// *for* `ksr` already does. Constant time: the engine keeps the count
+    /// up to date at every SMST write. A stale or empty handle owns zero
+    /// SMs.
+    pub fn owned_sms(&self, ksr: KsrIndex) -> u32 {
+        if self.kernel(ksr).is_some() {
+            self.owned[ksr.index()]
+        } else {
+            0
+        }
     }
 
     /// The KSRT entry at `ksr`, if that slot is occupied *by the occupancy
@@ -389,13 +430,11 @@ impl ExecutionEngine {
     }
 
     /// Indices of all occupied KSRT slots (the active queue), in slot order.
-    /// Returns an iterator over the table — no allocation.
+    /// Iterates the engine's occupied-slot bitset — no allocation.
     pub fn active_kernels(&self) -> impl Iterator<Item = KsrIndex> + '_ {
-        self.ksrt.iter().enumerate().filter_map(|(i, s)| {
-            s.state
-                .as_ref()
-                .map(|_| KsrIndex::with_gen(i as u32, s.gen))
-        })
+        self.occupied
+            .ones()
+            .map(|i| KsrIndex::with_gen(i as u32, self.ksrt[i].gen))
     }
 
     /// Number of kernels waiting in command buffers for a free KSRT slot.
@@ -406,9 +445,7 @@ impl ExecutionEngine {
     /// Whether the execution engine is completely empty (no active kernels,
     /// no waiting kernels, all SMs idle).
     pub fn is_empty(&self) -> bool {
-        self.ksrt.iter().all(|s| s.state.is_none())
-            && self.waiting_admission.is_empty()
-            && self.sm_hot.iter().all(SmHot::is_idle)
+        self.occupied.none() && self.waiting_admission.is_empty() && self.idle.all()
     }
 
     /// Aggregate counters.
@@ -417,11 +454,19 @@ impl ExecutionEngine {
     }
 
     /// Whether any output (events to schedule, completions, policy hooks)
-    /// is waiting to be drained. Batched dispatch uses this to skip drain
-    /// passes for events that produced nothing — a drain with no pending
-    /// output is an observable no-op.
+    /// is waiting to be drained. The simulator's run loop skips the drain
+    /// after events that produced nothing — a drain with no pending output
+    /// is an observable no-op.
     pub fn has_pending_outputs(&self) -> bool {
-        !self.scheduled.is_empty() || !self.completions.is_empty() || !self.hooks.is_empty()
+        !self.scheduled.is_empty() || self.has_pending_notifications()
+    }
+
+    /// Whether kernel completions or policy hooks are waiting to be
+    /// drained. When they are not, scheduled events are the engine's only
+    /// output, and forwarding them to the event queue is the whole drain —
+    /// the common case of a block completion that re-issues on its SM.
+    pub fn has_pending_notifications(&self) -> bool {
+        !self.completions.is_empty() || !self.hooks.is_empty()
     }
 
     /// Moves the events the engine wants scheduled into `out`; the caller
@@ -462,14 +507,13 @@ impl ExecutionEngine {
             "kernel {} cannot fit on an SM; workloads must be validated first",
             launch.spec.name()
         );
-        if self.admit(launch, now).is_none() {
-            // No free KSRT slot: hold the command until one frees up.
-        }
+        self.admit(launch, now);
     }
 
+    /// Admits `launch` into the lowest free KSRT slot, or holds it in a
+    /// command buffer until one frees up.
     fn admit(&mut self, launch: KernelLaunch, now: SimTime) -> Option<KsrIndex> {
-        let slot = self.ksrt.iter().position(|s| s.state.is_none());
-        match slot {
+        match self.occupied.first_clear() {
             Some(i) => {
                 // Seed the remaining-time estimator with the kernel's
                 // declared mean block time; observations refine it online.
@@ -501,6 +545,7 @@ impl ExecutionEngine {
                     .restore_time_per_block(&launch.spec.footprint());
                 let ptbq = std::mem::take(&mut self.ksrt[i].spare_ptbq);
                 self.ksrt[i].state = Some(KernelState::new_pooled(launch, &self.gpu, now, ptbq));
+                self.occupied.set(i, true);
                 self.hooks.push(PolicyHook::KernelAdmitted(ksr));
                 Some(ksr)
             }
@@ -531,10 +576,7 @@ impl ExecutionEngine {
         if !usable {
             return false;
         }
-        let hot = &mut self.sm_hot[sm.index()];
-        hot.state = SmState::Running;
-        hot.current = Some(ksr);
-        hot.next = None;
+        self.set_sm(sm.index(), SmState::Running, Some(ksr), None);
         let cold = &mut self.sm_cold[sm.index()];
         cold.mechanism = None;
         cold.setting_up = true;
@@ -576,9 +618,9 @@ impl ExecutionEngine {
             let cold = &mut self.sm_cold[sm.index()];
             cold.epoch += 1;
             cold.setting_up = false;
-            let hot = &mut self.sm_hot[sm.index()];
-            let old = hot.current.take();
-            hot.state = SmState::Idle;
+            let old = self.sm_hot[sm.index()].current;
+            let reserved_for = self.sm_hot[sm.index()].next;
+            self.set_sm(sm.index(), SmState::Idle, None, reserved_for);
             if let Some(old_ksr) = old {
                 if let Some(k) = self.ksrt[old_ksr.index()].state.as_mut() {
                     k.note_unassigned();
@@ -610,8 +652,8 @@ impl ExecutionEngine {
                 chosen
             }
         };
-        self.sm_hot[sm.index()].state = SmState::Reserved;
-        self.sm_hot[sm.index()].next = Some(next);
+        let current = self.sm_hot[sm.index()].current;
+        self.set_sm(sm.index(), SmState::Reserved, current, Some(next));
         let cold = &mut self.sm_cold[sm.index()];
         cold.mechanism = Some(mechanism);
         cold.preempted_at = Some(now);
@@ -710,11 +752,11 @@ impl ExecutionEngine {
     /// preemption completes (§3.4 allows this to cope with long-latency
     /// preemptions). Returns `false` if the SM is not reserved.
     pub fn retarget_reservation(&mut self, sm: SmId, next: KsrIndex) -> bool {
-        let hot = &mut self.sm_hot[sm.index()];
+        let hot = self.sm_hot[sm.index()];
         if hot.state != SmState::Reserved {
             return false;
         }
-        hot.next = Some(next);
+        self.set_sm(sm.index(), SmState::Reserved, hot.current, Some(next));
         true
     }
 
@@ -908,6 +950,37 @@ impl ExecutionEngine {
         }
     }
 
+    /// Writes SM `i`'s SMST hot entry. Every change to an SM's `state`,
+    /// `current` or `next` goes through here, so the idle-SM bitset and the
+    /// per-slot owned counts stay exact. Only live owners are counted: a
+    /// handle is live from admission until `finish_kernel` frees its slot
+    /// (which zeroes the slot's count and re-points every SM that still
+    /// names it), and never becomes live again.
+    fn set_sm(
+        &mut self,
+        i: usize,
+        state: SmState,
+        current: Option<KsrIndex>,
+        next: Option<KsrIndex>,
+    ) {
+        let old_owner = self.sm_hot[i].owner();
+        self.sm_hot[i] = SmHot {
+            state,
+            current,
+            next,
+        };
+        let new_owner = next.or(current);
+        if old_owner != new_owner {
+            if let Some(k) = old_owner.filter(|&k| self.kernel(k).is_some()) {
+                self.owned[k.index()] -= 1;
+            }
+            if let Some(k) = new_owner.filter(|&k| self.kernel(k).is_some()) {
+                self.owned[k.index()] += 1;
+            }
+        }
+        self.idle.set(i, state == SmState::Idle);
+    }
+
     /// Closes the latency accounting of a finishing preemption on one SM:
     /// records the request-to-hand-over latency and, when the adaptive
     /// selector made the decision, the estimate error.
@@ -934,21 +1007,18 @@ impl ExecutionEngine {
     /// SM to the reserved kernel (or back to the idle pool).
     fn complete_preemption(&mut self, now: SimTime, sm: SmId) {
         self.note_preemption_complete(now, sm.index());
-        let next = {
-            let cold = &mut self.sm_cold[sm.index()];
-            cold.mechanism = None;
-            cold.saving = false;
-            let hot = &mut self.sm_hot[sm.index()];
-            let old = hot.current.take();
-            let next = hot.next.take();
-            hot.state = SmState::Idle;
-            if let Some(old_ksr) = old {
-                if let Some(k) = self.ksrt[old_ksr.index()].state.as_mut() {
-                    k.note_unassigned();
-                }
+        let cold = &mut self.sm_cold[sm.index()];
+        cold.mechanism = None;
+        cold.saving = false;
+        let SmHot {
+            current: old, next, ..
+        } = self.sm_hot[sm.index()];
+        self.set_sm(sm.index(), SmState::Idle, None, None);
+        if let Some(old_ksr) = old {
+            if let Some(k) = self.ksrt[old_ksr.index()].state.as_mut() {
+                k.note_unassigned();
             }
-            next
-        };
+        }
         let assigned = match next {
             Some(next_ksr) => self.assign_sm(now, sm, next_ksr),
             None => false,
@@ -960,10 +1030,8 @@ impl ExecutionEngine {
 
     /// Marks the SM idle and unassigns it from its current kernel.
     fn release_sm(&mut self, sm: SmId) {
-        let hot = &mut self.sm_hot[sm.index()];
-        let old = hot.current.take();
-        hot.state = SmState::Idle;
-        hot.next = None;
+        let old = self.sm_hot[sm.index()].current;
+        self.set_sm(sm.index(), SmState::Idle, None, None);
         let cold = &mut self.sm_cold[sm.index()];
         cold.mechanism = None;
         cold.setting_up = false;
@@ -985,6 +1053,10 @@ impl ExecutionEngine {
             .state
             .take()
             .expect("finishing an active kernel");
+        // The slot is free from here on: every SM still pointing at `ksr` is
+        // released or redirected below, so none of them owns it any more.
+        self.occupied.set(ksr.index(), false);
+        self.owned[ksr.index()] = 0;
         debug_assert!(
             state.is_finished(),
             "kernel finished with unexecuted blocks"
@@ -1008,18 +1080,14 @@ impl ExecutionEngine {
         // blocks left) and fix up reservations that point at it.
         for i in 0..self.sm_hot.len() {
             let sm_id = SmId::new(i as u32);
-            let (is_current, is_reserved_for) = {
-                let h = &self.sm_hot[i];
-                (h.current == Some(ksr), h.next == Some(ksr))
-            };
-            if is_current {
-                match self.sm_hot[i].state {
+            let hot = self.sm_hot[i];
+            if hot.current == Some(ksr) {
+                match hot.state {
                     SmState::Running => {
                         debug_assert!(self.sm_cold[i].resident.is_empty());
                         // Invalidate any in-flight setup events.
                         self.sm_cold[i].epoch += 1;
-                        self.sm_hot[i].current = None;
-                        self.sm_hot[i].state = SmState::Idle;
+                        self.set_sm(i, SmState::Idle, None, hot.next);
                         self.sm_cold[i].setting_up = false;
                         self.hooks.push(PolicyHook::SmIdle(sm_id));
                     }
@@ -1029,12 +1097,10 @@ impl ExecutionEngine {
                         debug_assert!(self.sm_cold[i].resident.is_empty());
                         self.note_preemption_complete(now, i);
                         self.sm_cold[i].epoch += 1;
-                        self.sm_hot[i].current = None;
                         self.sm_cold[i].saving = false;
-                        let next = self.sm_hot[i].next.take();
-                        self.sm_hot[i].state = SmState::Idle;
+                        self.set_sm(i, SmState::Idle, None, None);
                         self.sm_cold[i].mechanism = None;
-                        let assigned = match next {
+                        let assigned = match hot.next {
                             Some(n) if n != ksr => self.assign_sm(now, sm_id, n),
                             _ => false,
                         };
@@ -1044,11 +1110,11 @@ impl ExecutionEngine {
                     }
                     SmState::Idle => {}
                 }
-            } else if is_reserved_for {
+            } else if hot.next == Some(ksr) {
                 // The kernel this SM was reserved for no longer exists; leave
                 // the preemption running but drop the target so the SM goes
                 // idle (and raises a hook) when the preemption completes.
-                self.sm_hot[i].next = None;
+                self.set_sm(i, hot.state, hot.current, None);
             }
         }
         // Admit a waiting kernel into the freed slot.
@@ -1116,7 +1182,11 @@ impl PreemptionCostView<'_> {
 }
 
 impl ExecutionEngine {
-    /// Checks engine-wide invariants; used by tests and the property suite.
+    /// Checks engine-wide invariants: block accounting, SMST consistency,
+    /// and that the maintained summaries (owned counts, idle and occupied
+    /// bitsets) equal a fresh scan of the tables. Used by tests, the
+    /// property suite and debug-build simulations; the error names the SM
+    /// or KSRT slot at fault.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, slot) in self.ksrt.iter().enumerate() {
             if let Some(k) = &slot.state {
@@ -1164,6 +1234,55 @@ impl ExecutionEngine {
                         assigned
                     ));
                 }
+            }
+        }
+        self.check_summaries()
+    }
+
+    /// Recomputes the owned counts and both bitsets from SMST/KSRT scans and
+    /// compares them with the maintained summaries.
+    fn check_summaries(&self) -> Result<(), String> {
+        let n = self.sm_hot.len();
+        if self.idle.len() != n || self.occupied.len() != self.ksrt.len() {
+            return Err(format!(
+                "summary sizes {}/{} do not match {} SMs / {} KSRT slots",
+                self.idle.len(),
+                self.occupied.len(),
+                n,
+                self.ksrt.len()
+            ));
+        }
+        for (i, hot) in self.sm_hot.iter().enumerate() {
+            if self.idle.get(i) != hot.is_idle() {
+                return Err(format!(
+                    "SM{i}: idle bit is {} but the SM is {:?}",
+                    self.idle.get(i),
+                    hot.state
+                ));
+            }
+        }
+        for (i, slot) in self.ksrt.iter().enumerate() {
+            if self.occupied.get(i) != slot.state.is_some() {
+                return Err(format!(
+                    "KSR{i}: occupied bit is {} but the slot is {}",
+                    self.occupied.get(i),
+                    if slot.state.is_some() { "live" } else { "free" }
+                ));
+            }
+            let live = KsrIndex::with_gen(i as u32, slot.gen);
+            let scanned = if slot.state.is_some() {
+                self.sm_hot
+                    .iter()
+                    .filter(|h| h.owner() == Some(live))
+                    .count() as u32
+            } else {
+                0
+            };
+            if self.owned[i] != scanned {
+                return Err(format!(
+                    "KSR{i}: owned count is {} but {} SMs are owned by it",
+                    self.owned[i], scanned
+                ));
             }
         }
         Ok(())

@@ -293,10 +293,12 @@ pub struct ResidentBlock {
     pub restored: bool,
 }
 
-/// The hot column of the SM Status Table: the fields every scheduler scan
-/// (idle search, ownership count, victim selection) reads. Kept in its own
-/// dense array so those scans touch a few contiguous cache lines instead of
-/// striding over the cold bookkeeping.
+/// The hot column of the SM Status Table: the fields the remaining SMST
+/// scans read — victim selection, the SMs a finishing kernel releases, and
+/// the invariant checker. Kept in its own dense array so those scans touch
+/// a few contiguous cache lines instead of striding over the cold
+/// bookkeeping. Idle search and ownership counts no longer scan it: the
+/// engine maintains them as summaries at every write to this column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SmHot {
     pub(crate) state: SmState,
@@ -315,6 +317,12 @@ impl SmHot {
 
     pub(crate) fn is_idle(&self) -> bool {
         self.state == SmState::Idle
+    }
+
+    /// The kernel this SM counts towards: the one it is reserved for while
+    /// a preemption is in flight, otherwise the one it runs.
+    pub(crate) fn owner(&self) -> Option<KsrIndex> {
+        self.next.or(self.current)
     }
 }
 

@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod bitset;
 pub mod engine;
 pub mod estimator;
 pub mod framework;

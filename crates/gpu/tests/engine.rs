@@ -27,13 +27,17 @@ impl Harness {
     }
 
     fn with_selection(selection: MechanismSelection) -> Self {
+        Self::with_gpu(GpuConfig::default(), selection)
+    }
+
+    fn with_gpu(gpu: GpuConfig, selection: MechanismSelection) -> Self {
         let params = EngineParams {
             block_time_jitter: 0.0, // deterministic timing for assertions
             ..Default::default()
         };
         Harness {
             engine: ExecutionEngine::new(
-                GpuConfig::default(),
+                gpu,
                 PreemptionConfig {
                     selection,
                     ..Default::default()
@@ -872,4 +876,116 @@ fn cost_view_matches_engine_estimates() {
     let estimate = ha.engine.estimate_preemption(now, sm);
     let chosen = estimate.select(None);
     assert_eq!(view.expected_latency(sm), estimate.latency_of(chosen));
+}
+
+/// Checks the engine's idle-SM, owned-SM and active-kernel queries against
+/// plain SMST scans.
+fn assert_queries_match_scans(engine: &ExecutionEngine) {
+    let idle: Vec<SmId> = engine
+        .sm_ids()
+        .filter(|&sm| engine.sm(sm).is_idle())
+        .collect();
+    assert_eq!(engine.idle_sms().collect::<Vec<_>>(), idle);
+    assert_eq!(engine.first_idle_sm(), idle.first().copied());
+    let active: Vec<KsrIndex> = engine.active_kernels().collect();
+    assert!(active.windows(2).all(|w| w[0].index() < w[1].index()));
+    for &ksr in &active {
+        assert!(engine.kernel(ksr).is_some(), "{ksr} is not live");
+        let owned = engine
+            .sm_ids()
+            .filter(|&sm| {
+                let s = engine.sm(sm);
+                s.next_kernel().or(s.current_kernel()) == Some(ksr)
+            })
+            .count() as u32;
+        assert_eq!(engine.owned_sms(ksr), owned, "{ksr}");
+    }
+    // Every SM runs a kernel the active queue lists.
+    for sm in engine.sm_ids() {
+        if let Some(ksr) = engine.sm(sm).current_kernel() {
+            assert!(active.contains(&ksr), "{sm} runs an inactive {ksr}");
+        }
+    }
+}
+
+#[test]
+fn queries_match_scans_across_the_bitset_word_boundary() {
+    // 100 SMs and 100 KSRT slots: the idle and occupied bitsets span two
+    // 64-bit words. Kernel `i` has one block of `i + 1` us and runs on SM
+    // `i`, so kernels, slots and SMs free up in index order.
+    let gpu = GpuConfig {
+        n_sms: 100,
+        ..Default::default()
+    };
+    let mut h = Harness::with_gpu(gpu, PreemptionMechanism::ContextSwitch.into());
+    for i in 0..100 {
+        let k = h.kernel(1, i + 1, 0);
+        h.submit(k);
+    }
+    let kernels: Vec<KsrIndex> = h.engine.active_kernels().collect();
+    assert_eq!(kernels.len(), 100);
+    assert_eq!(h.engine.first_idle_sm(), Some(SmId::new(0)));
+    for (i, &ksr) in kernels.iter().enumerate() {
+        assert!(h.assign(i as u32, ksr));
+        assert_eq!(h.engine.owned_sms(ksr), 1);
+        let first_idle = (i < 99).then(|| SmId::new(i as u32 + 1));
+        assert_eq!(
+            h.engine.first_idle_sm(),
+            first_idle,
+            "after assigning SM{i}"
+        );
+        assert_queries_match_scans(&h.engine);
+    }
+    // Kernel `i` finishes at setup (1 us) + `i + 1` us.
+    let mut completed = 0;
+    for finished in [63u32, 64, 65] {
+        h.run_until(SimTime::from_micros(finished as u64 + 1));
+        completed += h.take_completions().len();
+        assert_eq!(completed, finished as usize);
+        let idle: Vec<SmId> = h.engine.idle_sms().collect();
+        assert_eq!(idle, (0..finished).map(SmId::new).collect::<Vec<_>>());
+        let first_active = h.engine.active_kernels().next().unwrap();
+        assert_eq!(first_active.index(), finished as usize);
+        assert_eq!(h.engine.owned_sms(kernels[finished as usize - 1]), 0);
+        assert_queries_match_scans(&h.engine);
+    }
+    h.run_to_idle();
+    assert!(h.engine.is_empty());
+    assert_queries_match_scans(&h.engine);
+}
+
+#[test]
+fn reservation_for_a_finished_kernel_is_owned_by_nobody() {
+    // A stale handle names a KSRT slot that has since been reused. An SM
+    // reserved for it must not count towards the slot's new occupant, and
+    // the preempted kernel has already handed its token back.
+    let mut h = Harness::new(PreemptionMechanism::ContextSwitch);
+    let short = h.kernel(1, 10, 0);
+    let long = h.kernel(800, 100, 1);
+    h.submit(short);
+    h.submit(long);
+    let active: Vec<KsrIndex> = h.engine.active_kernels().collect();
+    let (stale, ksr_long) = (active[0], active[1]);
+    assert!(h.assign(0, stale));
+    assert!(h.assign(1, ksr_long));
+    h.run_until(SimTime::from_micros(20));
+    assert!(
+        h.engine.kernel(stale).is_none(),
+        "the short kernel finished"
+    );
+
+    let next = h.kernel(8, 10, 2);
+    h.submit(next);
+    let reused = h.engine.active_kernels().next().unwrap();
+    assert_eq!(reused.index(), stale.index(), "the freed slot is reused");
+    assert!(h.preempt(1, stale));
+    assert_eq!(h.engine.owned_sms(reused), 0);
+    assert_eq!(h.engine.owned_sms(stale), 0);
+    assert_eq!(h.engine.owned_sms(ksr_long), 0);
+    assert_queries_match_scans(&h.engine);
+
+    // Once the save completes the hand-over fails and the SM goes idle.
+    h.run_until(SimTime::from_micros(200));
+    assert!(h.engine.sm(SmId::new(1)).is_idle());
+    assert_queries_match_scans(&h.engine);
 }

@@ -245,9 +245,9 @@ impl HostSystem {
     }
 
     /// Whether any output (events to schedule, launches, iteration records,
-    /// release requests) is waiting to be drained. Batched dispatch uses
-    /// this to skip drain passes for events that produced nothing — a drain
-    /// with no pending output is an observable no-op.
+    /// release requests) is waiting to be drained. The simulator's run loop
+    /// skips the drain after events that produced nothing — a drain with no
+    /// pending output is an observable no-op.
     pub fn has_pending_outputs(&self) -> bool {
         !self.scheduled.is_empty()
             || !self.launches.is_empty()

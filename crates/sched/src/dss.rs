@@ -25,12 +25,10 @@ pub struct DssPolicy {
     budgets: HashMap<ProcessId, i32>,
     /// Budget used for processes that were not explicitly configured.
     default_budget: i32,
-    /// Per-KSRT-slot owned-SM counts, rebuilt by one SMST pass per
-    /// rebalance step (`refresh_scratch`). Policy-held so the hot
-    /// rebalance loop allocates nothing.
-    scratch_owned: Vec<i32>,
     /// Per-KSRT-slot first preemptible SM (lowest-id running SM assigned to
-    /// the slot's kernel), from the same pass.
+    /// the slot's kernel), rebuilt by one SMST pass per rebalance step
+    /// (`refresh_victims`). Policy-held so the hot rebalance loop allocates
+    /// nothing.
     scratch_victim: Vec<Option<SmId>>,
 }
 
@@ -41,7 +39,6 @@ impl DssPolicy {
         DssPolicy {
             budgets,
             default_budget: default_budget.max(0),
-            scratch_owned: Vec::new(),
             scratch_victim: Vec::new(),
         }
     }
@@ -62,7 +59,6 @@ impl DssPolicy {
         DssPolicy {
             budgets,
             default_budget: base.max(1),
-            scratch_owned: Vec::new(),
             scratch_victim: Vec::new(),
         }
     }
@@ -75,26 +71,14 @@ impl DssPolicy {
             .unwrap_or(self.default_budget)
     }
 
-    /// Rebuilds the per-slot scratch in one pass over the SM Status Table:
-    /// how many SMs each kernel owns (assigned, or reserved for it) and the
-    /// first running SM that could be preempted from it. This replaces the
-    /// per-kernel SMST rescans (`owned_sms` per candidate per step) that
-    /// dominated the rebalance cost.
-    fn refresh_scratch(&mut self, engine: &ExecutionEngine) {
-        let n = engine.n_sms() as usize;
-        self.scratch_owned.clear();
-        self.scratch_owned.resize(n, 0);
+    /// Rebuilds the per-slot victim scratch in one pass over the SM Status
+    /// Table: the first running SM that could be preempted from each
+    /// kernel. Owned-SM counts need no pass: the engine maintains them.
+    fn refresh_victims(&mut self, engine: &ExecutionEngine) {
         self.scratch_victim.clear();
-        self.scratch_victim.resize(n, None);
+        self.scratch_victim.resize(engine.n_sms() as usize, None);
         for sm in engine.sm_ids() {
             let s = engine.sm(sm);
-            // Ownership, matching `owned_sms`: a reservation transfers the
-            // token to the incoming kernel; otherwise the current kernel
-            // holds it.
-            let owner = s.next_kernel().or_else(|| s.current_kernel());
-            if let Some(k) = owner {
-                self.scratch_owned[k.index()] += 1;
-            }
             if s.state() == SmState::Running {
                 if let Some(k) = s.current_kernel() {
                     let victim = &mut self.scratch_victim[k.index()];
@@ -107,13 +91,13 @@ impl DssPolicy {
     }
 
     /// The *current* token count of a kernel: its process budget minus the
-    /// SMs it currently owns (per the scratch). Kernels holding more SMs
-    /// than their budget have a negative count (debt).
+    /// SMs it currently owns. Kernels holding more SMs than their budget
+    /// have a negative count (debt).
     fn token_count(&self, engine: &ExecutionEngine, ksr: KsrIndex) -> i32 {
         let Some(kernel) = engine.kernel(ksr) else {
             return i32::MIN;
         };
-        self.budget(kernel.launch().process) - self.scratch_owned[ksr.index()]
+        self.budget(kernel.launch().process) - engine.owned_sms(ksr) as i32
     }
 
     /// The kernel with the highest token count that still has blocks to
@@ -166,9 +150,9 @@ impl DssPolicy {
         let max_steps = (engine.n_sms() as usize + 1).pow(2);
         for _ in 0..max_steps {
             // Each step either assigns or preempts exactly one SM, so the
-            // scratch rebuilt here stays valid for the whole step (a failed
+            // victims found here stay valid for the whole step (a failed
             // admission attempt mutates nothing).
-            self.refresh_scratch(engine);
+            self.refresh_victims(engine);
             let Some((rich, rich_count)) = self.richest_needy(engine) else {
                 return;
             };
@@ -271,7 +255,7 @@ mod tests {
         // Work conservation: the only kernel owns every SM despite a budget
         // of 7 (it goes into debt).
         let ksr = h.engine().active_kernels().next().unwrap();
-        assert_eq!(crate::policy::owned_sms(h.engine(), ksr), 13);
+        assert_eq!(h.engine().owned_sms(ksr), 13);
         h.run_to_idle();
         assert_eq!(h.completions().len(), 1);
     }
@@ -294,7 +278,7 @@ mod tests {
             .map(|k| {
                 (
                     h.engine().kernel(k).unwrap().launch().process,
-                    crate::policy::owned_sms(h.engine(), k),
+                    h.engine().owned_sms(k),
                 )
             })
             .collect();
@@ -330,7 +314,7 @@ mod tests {
         let owned: Vec<u32> = h
             .engine()
             .active_kernels()
-            .map(|k| crate::policy::owned_sms(h.engine(), k))
+            .map(|k| h.engine().owned_sms(k))
             .collect();
         assert!(
             owned.iter().all(|&c| c >= 6),
@@ -357,7 +341,7 @@ mod tests {
         h.submit(toy_launch(0, 0, 1_000, 40));
         h.run_for(SimTime::from_micros(10));
         let ksr = h.engine().active_kernels().next().unwrap();
-        assert_eq!(crate::policy::owned_sms(h.engine(), ksr), 13);
+        assert_eq!(h.engine().owned_sms(ksr), 13);
         // Exactly on budget: zero tokens left, zero debt, so the rebalancer
         // has nothing to preempt.
         assert_eq!(h.engine().stats().preemptions, 0);
@@ -391,7 +375,7 @@ mod tests {
                 .find(|&k| {
                     h.engine().kernel(k).unwrap().launch().process == ProcessId::new(process)
                 })
-                .map(|k| crate::policy::owned_sms(h.engine(), k))
+                .map(|k| h.engine().owned_sms(k))
         };
         assert_eq!(owned_by(&h, 0), Some(13));
         assert_eq!(owned_by(&h, 1), Some(0));
@@ -437,7 +421,7 @@ mod tests {
         let kernels: Vec<KsrIndex> = h.engine().active_kernels().collect();
         assert_eq!(kernels.len(), 1, "short kernel should have departed");
         assert_eq!(
-            crate::policy::owned_sms(h.engine(), kernels[0]),
+            h.engine().owned_sms(kernels[0]),
             13,
             "survivor must absorb the departed process's share"
         );
@@ -460,7 +444,7 @@ mod tests {
         let owned: Vec<u32> = h
             .engine()
             .active_kernels()
-            .map(|k| crate::policy::owned_sms(h.engine(), k))
+            .map(|k| h.engine().owned_sms(k))
             .collect();
         assert_eq!(owned.iter().sum::<u32>(), 13, "all SMs stay in use");
         // Every non-instant preemption was decided by the adaptive selector.
@@ -522,7 +506,7 @@ mod tests {
         let owned: Vec<u32> = h
             .engine()
             .active_kernels()
-            .map(|k| crate::policy::owned_sms(h.engine(), k))
+            .map(|k| h.engine().owned_sms(k))
             .collect();
         assert_eq!(owned.iter().sum::<u32>(), 13);
         let max = *owned.iter().max().unwrap();

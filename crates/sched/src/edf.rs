@@ -10,7 +10,7 @@
 //! spends on an unprofitable hand-over shows up as the gap between the two
 //! policies' deadline-miss rates.
 
-use crate::policy::{assign_idle_sms, owned_sms, select_victim, SchedulingPolicy};
+use crate::policy::{assign_idle_sms, select_victim, SchedulingPolicy};
 use gpreempt_gpu::{ExecutionEngine, KsrIndex};
 use gpreempt_types::{KernelLaunchId, SimTime, SmId};
 
@@ -76,7 +76,7 @@ impl EdfPolicy {
             // needs, later-deadline kernels backfill whatever is left.
             assign_idle_sms(now, engine, ksr, None);
             while let Some(kernel) = engine.kernel(ksr) {
-                let needed = kernel.sms_needed().saturating_sub(owned_sms(engine, ksr));
+                let needed = kernel.sms_needed().saturating_sub(engine.owned_sms(ksr));
                 if needed == 0 {
                     break;
                 }

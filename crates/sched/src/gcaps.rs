@@ -25,7 +25,7 @@
 //! [`PpqPolicy::exclusive`](crate::PpqPolicy::exclusive) — regression-tested
 //! in the workspace test suite.
 
-use crate::policy::{assign_idle_sms, owned_sms, select_victim, SchedulingPolicy};
+use crate::policy::{assign_idle_sms, select_victim, SchedulingPolicy};
 use gpreempt_gpu::{ExecutionEngine, KsrIndex};
 use gpreempt_types::{KernelLaunchId, Priority, SimTime, SmId};
 
@@ -199,7 +199,7 @@ impl GcapsPolicy {
             // Then preempt the least urgent victims, but only when the
             // engine's cost estimate says the hand-over is worth paying.
             while let Some(kernel) = engine.kernel(ksr) {
-                let needed = kernel.sms_needed().saturating_sub(owned_sms(engine, ksr));
+                let needed = kernel.sms_needed().saturating_sub(engine.owned_sms(ksr));
                 if needed == 0 {
                     break;
                 }

@@ -34,7 +34,7 @@ pub use dss::DssPolicy;
 pub use edf::EdfPolicy;
 pub use fcfs::FcfsPolicy;
 pub use gcaps::GcapsPolicy;
-pub use policy::{assign_idle_sms, owned_sms, ReleaseInfo, SchedulingPolicy};
+pub use policy::{assign_idle_sms, ReleaseInfo, SchedulingPolicy};
 pub use priority::{NpqPolicy, PpqAccess, PpqPolicy};
 pub use rr::RoundRobinPolicy;
 

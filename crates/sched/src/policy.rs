@@ -159,8 +159,7 @@ pub fn assign_idle_sms(
         // SMs already working for (or reserved for) this kernel will keep
         // pulling blocks; only add SMs that can hold blocks nobody else will
         // take.
-        let owned = owned_sms(engine, ksr);
-        let needed = kernel.sms_needed().saturating_sub(owned);
+        let needed = kernel.sms_needed().saturating_sub(engine.owned_sms(ksr));
         if needed == 0 {
             break;
         }
@@ -169,7 +168,7 @@ pub fn assign_idle_sms(
                 break;
             }
         }
-        let Some(sm) = engine.idle_sms().next() else {
+        let Some(sm) = engine.first_idle_sm() else {
             break;
         };
         if !engine.assign_sm(now, sm, ksr) {
@@ -216,25 +215,6 @@ pub fn select_victim<K: Ord>(
     best.map(|(_, sm)| sm)
 }
 
-/// Number of SMs currently owned by `ksr`: SMs executing it that are not in
-/// the middle of being handed to another kernel, plus SMs reserved for it.
-///
-/// An SM that is being preempted away from `ksr` no longer counts towards it
-/// (the paper returns the token to the preempted kernel at reservation time,
-/// §3.4), while an SM reserved *for* `ksr` already does.
-pub fn owned_sms(engine: &ExecutionEngine, ksr: KsrIndex) -> u32 {
-    engine
-        .sm_ids()
-        .filter(|&sm| {
-            let s = engine.sm(sm);
-            match s.next_kernel() {
-                Some(next) => next == ksr,
-                None => s.current_kernel() == Some(ksr),
-            }
-        })
-        .count() as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,7 +257,7 @@ mod tests {
         let ksr = e.active_kernels().next().unwrap();
         let n = assign_idle_sms(SimTime::ZERO, &mut e, ksr, None);
         assert_eq!(n, 2);
-        assert_eq!(owned_sms(&e, ksr), 2);
+        assert_eq!(e.owned_sms(ksr), 2);
         assert_eq!(e.idle_sms().count(), 11);
     }
 

@@ -9,7 +9,7 @@
 //! (back-to-back execution), at the cost of preempting them again shortly
 //! after.
 
-use crate::policy::{assign_idle_sms, owned_sms, SchedulingPolicy};
+use crate::policy::{assign_idle_sms, SchedulingPolicy};
 use gpreempt_gpu::{ExecutionEngine, KsrIndex, SmState};
 use gpreempt_types::{KernelLaunchId, Priority, SimTime, SmId};
 
@@ -59,7 +59,7 @@ impl NpqPolicy {
         order_by_priority(engine, &mut self.order);
         for i in 0..self.order.len() {
             let ksr = self.order[i];
-            if engine.idle_sms().next().is_none() {
+            if engine.first_idle_sm().is_none() {
                 break;
             }
             assign_idle_sms(now, engine, ksr, None);
@@ -164,7 +164,7 @@ impl PpqPolicy {
             // Then, if this kernel outranks running kernels and still needs
             // SMs, preempt the lowest-priority victims.
             while let Some(kernel) = engine.kernel(ksr) {
-                let needed = kernel.sms_needed().saturating_sub(owned_sms(engine, ksr));
+                let needed = kernel.sms_needed().saturating_sub(engine.owned_sms(ksr));
                 if needed == 0 {
                     break;
                 }

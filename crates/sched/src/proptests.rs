@@ -4,7 +4,6 @@
 
 use crate::dss::DssPolicy;
 use crate::fcfs::FcfsPolicy;
-use crate::policy::owned_sms;
 use crate::priority::{NpqPolicy, PpqPolicy};
 use crate::testutil::{toy_launch_with_priority, PolicyHarness};
 use gpreempt_gpu::PreemptionMechanism;
@@ -110,7 +109,7 @@ proptest! {
         let owned: Vec<u32> = harness
             .engine()
             .active_kernels()
-            .map(|k| owned_sms(harness.engine(), k))
+            .map(|k| harness.engine().owned_sms(k))
             .collect();
         prop_assert_eq!(owned.len(), n_kernels);
         prop_assert_eq!(owned.iter().sum::<u32>(), 13, "all SMs in use: {:?}", owned);

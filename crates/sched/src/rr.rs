@@ -13,7 +13,7 @@
 //! hooks and the policy degenerates to exactly FCFS; the simulator arms a
 //! default quantum when this policy is selected.
 
-use crate::policy::{assign_idle_sms, owned_sms, SchedulingPolicy};
+use crate::policy::{assign_idle_sms, SchedulingPolicy};
 use gpreempt_gpu::{ExecutionEngine, KsrIndex, SmState};
 use gpreempt_types::{KernelLaunchId, SimTime, SmId};
 
@@ -63,7 +63,7 @@ impl RoundRobinPolicy {
         if self.order.len() < 2 {
             return None;
         }
-        let cur_owned = owned_sms(engine, current);
+        let cur_owned = engine.owned_sms(current);
         let start = self
             .last_served
             .and_then(|k| self.order.iter().position(|&o| o == k))
@@ -81,7 +81,7 @@ impl RoundRobinPolicy {
             if !kernel.has_blocks_to_issue() {
                 continue;
             }
-            if owned_sms(engine, k) + 1 < cur_owned {
+            if engine.owned_sms(k) + 1 < cur_owned {
                 return Some(k);
             }
         }

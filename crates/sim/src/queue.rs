@@ -6,6 +6,12 @@
 //! the (time, insertion-order) delivery discipline that keeps every
 //! simulation reproducible. `schedule` and `pop` are O(log n); sweep
 //! scenarios keep only a few hundred events pending.
+//!
+//! Most events schedule a successor (a finished thread block issues the
+//! next one), so `pop` leaves the popped entry in the heap's top slot and
+//! the next `schedule` overwrites it in place, restoring heap order with a
+//! single sift-down instead of a pop followed by a push. Keys are unique,
+//! so the delivery order does not depend on the heap's internal layout.
 
 use gpreempt_types::SimTime;
 use std::cmp::Ordering;
@@ -64,15 +70,22 @@ fn key_time(key: u128) -> SimTime {
 /// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
 /// assert_eq!(order, vec!['a', 'b', 'c']);
 /// ```
+///
+/// Events are `Copy`: `pop` hands out a copy of the payload and leaves the
+/// entry in place for the next `schedule` to overwrite.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// Whether the heap's top entry was already popped: it still occupies
+    /// the top slot, waiting to be overwritten by `schedule` or removed by
+    /// the next `pop`, `peek_time` or `reset`.
+    popped_top: bool,
     next_seq: u64,
     now: SimTime,
     processed: u64,
     clamped: u64,
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue with the clock at zero.
     pub fn new() -> Self {
         Self::with_capacity(0)
@@ -85,6 +98,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            popped_top: false,
             next_seq: 0,
             now: SimTime::ZERO,
             processed: 0,
@@ -106,12 +120,21 @@ impl<E> EventQueue<E> {
         self.heap.reserve(total.saturating_sub(self.heap.len()));
     }
 
+    /// Removes the already-popped top entry, if one is still in place.
+    fn remove_popped_top(&mut self) {
+        if self.popped_top {
+            self.popped_top = false;
+            self.heap.pop();
+        }
+    }
+
     /// Clears all pending events and rewinds the clock, sequence counter
     /// and processed/clamped counts to a fresh state while **keeping the
     /// backing allocation**. Harness-internal reruns reset-and-reuse one
     /// queue instead of re-growing an empty, capacity-zero one.
     pub fn reset(&mut self) {
         self.heap.clear();
+        self.popped_top = false;
         self.next_seq = 0;
         self.now = SimTime::ZERO;
         self.processed = 0;
@@ -140,12 +163,12 @@ impl<E> EventQueue<E> {
 
     /// Number of events still pending.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - self.popped_top as usize
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Schedules `event` at absolute time `time`.
@@ -164,7 +187,15 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let key = (time.as_nanos() as u128) << 64 | seq as u128;
-        self.heap.push(Entry { key, event });
+        let entry = Entry { key, event };
+        if self.popped_top {
+            // Overwrite the popped entry; dropping the `PeekMut` guard sifts
+            // the new entry down to its place.
+            self.popped_top = false;
+            *self.heap.peek_mut().expect("popped entry in place") = entry;
+        } else {
+            self.heap.push(entry);
+        }
     }
 
     /// Schedules `event` after a delay relative to the current time.
@@ -174,21 +205,26 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        let time = key_time(entry.key);
+        self.remove_popped_top();
+        let entry = self.heap.peek()?;
+        let (time, event) = (key_time(entry.key), entry.event);
         debug_assert!(time >= self.now, "event queue time went backwards");
+        self.popped_top = true;
         self.now = time;
         self.processed += 1;
-        Some((time, entry.event))
+        Some((time, event))
     }
 
     /// Returns the timestamp of the next pending event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    /// Takes `&mut self` because it first removes an already-popped entry
+    /// still occupying the top slot.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.remove_popped_top();
         self.heap.peek().map(|e| key_time(e.key))
     }
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
@@ -198,7 +234,7 @@ impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &(self.heap.len() - self.popped_top as usize))
             .field("processed", &self.processed)
             .field("clamped", &self.clamped)
             .finish()

@@ -7,10 +7,13 @@
 //! way possible — a `Vec` of `(time, seq, payload)` scanned for its minimum
 //! on every pop. These tests drive the queue and the model through
 //! identical random interleavings of `schedule` / `schedule_after` / `pop`
-//! / `reset` and require the full observable history (popped times and
-//! payloads, clock, processed and clamped counters, pending length, next
-//! pending time) to match exactly. Whole-simulation determinism rests on
-//! this property.
+//! / `reset`, of pops immediately followed by zero, one or several
+//! schedules (the queue overwrites a popped entry in place with the next
+//! schedule), and of mid-run `len` / `is_empty` / `peek_time` reads. They
+//! require the full observable history (popped times and payloads, every
+//! mid-run read, clock, processed and clamped counters, pending length,
+//! next pending time) to match exactly. Whole-simulation determinism rests
+//! on this property.
 
 use gpreempt_sim::EventQueue;
 use gpreempt_types::SimTime;
@@ -27,8 +30,31 @@ enum Op {
     ScheduleAfter(u64),
     /// Pop a single event.
     Pop,
+    /// Pop a single event, then schedule `count` events (0, 1 or several)
+    /// at times drawn from `raw`: mostly after the popped event, sometimes
+    /// at it, and sometimes in the past (→ clamp).
+    PopThenSchedule { count: u32, raw: u64 },
+    /// Record `len` and `is_empty`.
+    Len,
+    /// Record `peek_time`.
+    Peek,
     /// Reset the queue to a fresh state (keeps the allocation).
     Reset,
+}
+
+impl Op {
+    /// The absolute times a [`Op::PopThenSchedule`] schedules, given the
+    /// clock after its pop.
+    fn follow_up_times(count: u32, raw: u64, now: u64) -> impl Iterator<Item = u64> {
+        (0..count).map(move |j| {
+            let draw = raw.rotate_right(13 * j) % 4_000;
+            match draw % 8 {
+                0 => now,
+                1 => draw / 2,
+                _ => now + draw,
+            }
+        })
+    }
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -36,11 +62,17 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     // `prop_oneof!`): clustered absolute times force same-timestamp
     // collisions (FIFO order must hold), the uniform tail spreads
     // timestamps over a wide range.
-    (0u32..16, 0u64..100_000_000).prop_map(|(sel, raw)| match sel {
+    (0u32..18, 0u64..100_000_000).prop_map(|(sel, raw)| match sel {
         0..=3 => Op::Schedule((raw % 50_000) / 500 * 500),
         4..=5 => Op::Schedule(raw),
         6..=8 => Op::ScheduleAfter(raw % 10_000),
-        9..=14 => Op::Pop,
+        9..=11 => Op::Pop,
+        12..=14 => Op::PopThenSchedule {
+            count: [0, 1, 1, 1, 2, 3][(raw % 6) as usize],
+            raw,
+        },
+        15 => Op::Len,
+        16 => Op::Peek,
         _ => Op::Reset,
     })
 }
@@ -50,11 +82,20 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 struct History {
     /// (timestamp nanos, payload) of every popped event.
     pops: Vec<(u64, u64)>,
+    /// Every mid-run read, in order.
+    reads: Vec<Read>,
     processed: u64,
     clamped: u64,
     now: u64,
     len: usize,
     peek: Option<u64>,
+}
+
+/// One mid-run observation.
+#[derive(Debug, PartialEq, Eq)]
+enum Read {
+    Len { len: usize, empty: bool },
+    Peek(Option<u64>),
 }
 
 /// The reference model: pending `(time, seq, payload)` entries in
@@ -99,6 +140,7 @@ impl Model {
 fn run_queue(ops: &[Op]) -> History {
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut pops = Vec::new();
+    let mut reads = Vec::new();
     let mut payload = 0u64;
     for &op in ops {
         match op {
@@ -115,11 +157,26 @@ fn run_queue(ops: &[Op]) -> History {
                     pops.push((t.as_nanos(), e));
                 }
             }
+            Op::PopThenSchedule { count, raw } => {
+                if let Some((t, e)) = q.pop() {
+                    pops.push((t.as_nanos(), e));
+                }
+                for time in Op::follow_up_times(count, raw, q.now().as_nanos()) {
+                    q.schedule(SimTime::from_nanos(time), payload);
+                    payload += 1;
+                }
+            }
+            Op::Len => reads.push(Read::Len {
+                len: q.len(),
+                empty: q.is_empty(),
+            }),
+            Op::Peek => reads.push(Read::Peek(q.peek_time().map(SimTime::as_nanos))),
             Op::Reset => q.reset(),
         }
     }
     History {
         pops,
+        reads,
         processed: q.processed(),
         clamped: q.clamped(),
         now: q.now().as_nanos(),
@@ -131,6 +188,7 @@ fn run_queue(ops: &[Op]) -> History {
 fn run_model(ops: &[Op]) -> History {
     let mut m = Model::default();
     let mut pops = Vec::new();
+    let mut reads = Vec::new();
     let mut payload = 0u64;
     for &op in ops {
         match op {
@@ -143,11 +201,24 @@ fn run_model(ops: &[Op]) -> History {
                 payload += 1;
             }
             Op::Pop => pops.extend(m.pop()),
+            Op::PopThenSchedule { count, raw } => {
+                pops.extend(m.pop());
+                for time in Op::follow_up_times(count, raw, m.now) {
+                    m.schedule(time, payload);
+                    payload += 1;
+                }
+            }
+            Op::Len => reads.push(Read::Len {
+                len: m.pending.len(),
+                empty: m.pending.is_empty(),
+            }),
+            Op::Peek => reads.push(Read::Peek(m.peek())),
             Op::Reset => m = Model::default(),
         }
     }
     History {
         pops,
+        reads,
         processed: m.processed,
         clamped: m.clamped,
         now: m.now,
@@ -174,7 +245,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 0..200),
     ) {
         let mut drain_ops = ops;
-        drain_ops.extend(std::iter::repeat_n(Op::Pop, 300));
+        drain_ops.extend(std::iter::repeat_n(Op::Pop, 700));
         let queue = run_queue(&drain_ops);
         prop_assert_eq!(queue.len, 0);
         prop_assert_eq!(queue, run_model(&drain_ops));

@@ -205,23 +205,30 @@ fn random_kernel_strategy() -> impl Strategy<Value = RandomKernel> {
 }
 
 /// Drives the engine with a deliberately chaotic "policy": idle SMs are
-/// handed to a pseudo-random active kernel and every few block completions a
-/// random running SM is preempted in favour of a random kernel. Whatever the
-/// schedule, every submitted block must execute exactly once and the engine
-/// must end up empty.
+/// handed to a pseudo-random active kernel, every few block completions a
+/// random running SM is preempted in favour of a random kernel, and now and
+/// then a reserved SM is retargeted to another one. Whatever the schedule,
+/// every submitted block must execute exactly once, the engine's
+/// invariants (its maintained summaries included) hold after every event,
+/// and the engine must end up empty.
 ///
 /// The number of preemptions is capped: an adversary that preempts on almost
 /// every event can thrash forever (each context-switch restore adds latency
 /// faster than blocks accumulate progress), which is a property of
 /// preemption itself, not an engine bug. The cap keeps the run terminating
 /// while still exercising hundreds of preemptions.
-fn run_chaos(kernels: &[RandomKernel], selection: MechanismSelection, seed: u64) -> (u64, u64) {
+fn run_chaos(
+    gpu: GpuConfig,
+    kernels: &[RandomKernel],
+    selection: MechanismSelection,
+    seed: u64,
+) -> (u64, u64) {
     let params = EngineParams {
         block_time_jitter: 0.1,
         ..Default::default()
     };
     let mut engine = ExecutionEngine::new(
-        GpuConfig::default(),
+        gpu,
         PreemptionConfig {
             selection,
             ..Default::default()
@@ -287,6 +294,15 @@ fn run_chaos(kernels: &[RandomKernel], selection: MechanismSelection, seed: u64)
                     engine.preempt_sm(now, victim, target);
                 }
             }
+            if chaos.chance(0.1) {
+                let reserved = engine
+                    .sm_ids()
+                    .find(|&sm| engine.sm(sm).state() == SmState::Reserved);
+                if let Some(sm) = reserved {
+                    let target = needy[chaos.next_index(needy.len())];
+                    engine.retarget_reservation(sm, target);
+                }
+            }
         }
         engine.drain_scheduled_into(&mut scheduled);
         for (t, ev) in scheduled.drain(..) {
@@ -316,7 +332,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let (completed, expected) =
-            run_chaos(&kernels, PreemptionMechanism::ContextSwitch.into(), seed);
+            run_chaos(GpuConfig::default(), &kernels, PreemptionMechanism::ContextSwitch.into(), seed);
         prop_assert_eq!(completed, expected);
     }
 
@@ -326,7 +342,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let (completed, expected) =
-            run_chaos(&kernels, PreemptionMechanism::Draining.into(), seed);
+            run_chaos(GpuConfig::default(), &kernels, PreemptionMechanism::Draining.into(), seed);
         prop_assert_eq!(completed, expected);
     }
 
@@ -341,7 +357,28 @@ proptest! {
             0 => MechanismSelection::adaptive(),
             us => MechanismSelection::adaptive_with_target(SimTime::from_micros(us)),
         };
-        let (completed, expected) = run_chaos(&kernels, selection, seed);
+        let (completed, expected) = run_chaos(GpuConfig::default(), &kernels, selection, seed);
+        prop_assert_eq!(completed, expected);
+    }
+
+    /// The chaos run on a 100-SM GPU: the engine's idle-SM and
+    /// occupied-slot bitsets then span two 64-bit words.
+    #[test]
+    fn chaos_scheduling_on_a_100_sm_gpu_never_loses_or_duplicates_blocks(
+        kernels in prop::collection::vec(random_kernel_strategy(), 1..6),
+        seed in 0u64..1_000,
+        mechanism in 0u32..3,
+    ) {
+        let selection = match mechanism {
+            0 => PreemptionMechanism::ContextSwitch.into(),
+            1 => PreemptionMechanism::Draining.into(),
+            _ => MechanismSelection::adaptive(),
+        };
+        let gpu = GpuConfig {
+            n_sms: 100,
+            ..Default::default()
+        };
+        let (completed, expected) = run_chaos(gpu, &kernels, selection, seed);
         prop_assert_eq!(completed, expected);
     }
 }
