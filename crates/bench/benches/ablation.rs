@@ -12,7 +12,7 @@ use gpreempt_bench::representative_workload;
 use gpreempt_types::SimTime;
 use std::hint::black_box;
 
-fn run_with(config: &SimulatorConfig) -> (f64, u64) {
+fn dss_antt_and_preemptions(config: &SimulatorConfig) -> (f64, u64) {
     let sim = Simulator::new(config.clone());
     let workload = representative_workload(config);
     let isolated = sim.isolated_times(&workload).expect("isolated");
@@ -31,7 +31,7 @@ fn ablate_pipeline_drain(c: &mut Criterion) {
     for drain_us in [0u64, 1, 2, 5, 10] {
         let mut config = SimulatorConfig::default();
         config.machine.preemption.pipeline_drain = SimTime::from_micros(drain_us);
-        let (antt, preemptions) = run_with(&config);
+        let (antt, preemptions) = dss_antt_and_preemptions(&config);
         table.add_row(vec![
             drain_us.to_string(),
             format!("{antt:.3}"),
@@ -42,7 +42,7 @@ fn ablate_pipeline_drain(c: &mut Criterion) {
 
     let config = SimulatorConfig::default();
     c.bench_function("ablation/pipeline_drain_default", |b| {
-        b.iter(|| run_with(black_box(&config)))
+        b.iter(|| dss_antt_and_preemptions(black_box(&config)))
     });
 }
 
@@ -54,7 +54,7 @@ fn ablate_block_jitter(c: &mut Criterion) {
     for jitter in [0.0f64, 0.05, 0.1, 0.2, 0.4] {
         let mut config = SimulatorConfig::default();
         config.engine.block_time_jitter = jitter;
-        let (antt, preemptions) = run_with(&config);
+        let (antt, preemptions) = dss_antt_and_preemptions(&config);
         table.add_row(vec![
             format!("{jitter:.2}"),
             format!("{antt:.3}"),
@@ -66,7 +66,7 @@ fn ablate_block_jitter(c: &mut Criterion) {
     let mut config = SimulatorConfig::default();
     config.engine.block_time_jitter = 0.2;
     c.bench_function("ablation/jitter_0_2", |b| {
-        b.iter(|| run_with(black_box(&config)))
+        b.iter(|| dss_antt_and_preemptions(black_box(&config)))
     });
 }
 
@@ -80,7 +80,7 @@ fn ablate_sm_setup_time(c: &mut Criterion) {
     for setup_us in [0u64, 1, 5, 20] {
         let mut config = SimulatorConfig::default();
         config.engine.sm_setup_time = SimTime::from_micros(setup_us);
-        let (antt, preemptions) = run_with(&config);
+        let (antt, preemptions) = dss_antt_and_preemptions(&config);
         table.add_row(vec![
             setup_us.to_string(),
             format!("{antt:.3}"),
@@ -92,7 +92,7 @@ fn ablate_sm_setup_time(c: &mut Criterion) {
     let mut config = SimulatorConfig::default();
     config.engine.sm_setup_time = SimTime::from_micros(5);
     c.bench_function("ablation/setup_5us", |b| {
-        b.iter(|| run_with(black_box(&config)))
+        b.iter(|| dss_antt_and_preemptions(black_box(&config)))
     });
 }
 

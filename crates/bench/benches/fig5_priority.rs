@@ -3,18 +3,15 @@
 //! FCFS execution, grouped by kernel-duration class and workload size.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpreempt::experiments::PriorityResults;
+use gpreempt::experiments::PrioritySweep;
 use gpreempt::{PolicyKind, SimulatorConfig};
-use gpreempt_bench::{run_representative, runner_from_env, scale_from_env};
+use gpreempt_bench::{run_from_env, run_representative};
 use std::hint::black_box;
 
 fn bench_fig5(c: &mut Criterion) {
     let config = SimulatorConfig::default();
-    let scale = scale_from_env();
-    let results = PriorityResults::run_with(&config, &scale, &runner_from_env())
-        .expect("figure 5 experiment");
+    let results = run_from_env::<PrioritySweep>();
     println!("{}", results.render_fig5().render());
-    println!("{}", results.timing().summary());
 
     // Timed unit: one small two-process workload under the preemptive
     // priority scheduler (the configuration Figure 5 is about).

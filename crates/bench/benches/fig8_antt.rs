@@ -3,16 +3,14 @@
 //! preemption mechanisms.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpreempt::experiments::SpatialResults;
+use gpreempt::experiments::SpatialSweep;
 use gpreempt::{PolicyKind, SimulatorConfig};
-use gpreempt_bench::{run_representative, runner_from_env, scale_from_env};
+use gpreempt_bench::{run_from_env, run_representative};
 use std::hint::black_box;
 
 fn bench_fig8(c: &mut Criterion) {
     let config = SimulatorConfig::default();
-    let scale = scale_from_env();
-    let results =
-        SpatialResults::run_with(&config, &scale, &runner_from_env()).expect("figure 8 experiment");
+    let results = run_from_env::<SpatialSweep>();
     println!("{}", results.render_fig8().render());
 
     // Timed unit: the FCFS baseline every Figure 8 curve is compared to.

@@ -4,9 +4,9 @@
 //! the Criterion unit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpreempt::experiments::RealtimeResults;
+use gpreempt::experiments::RealtimeSweep;
 use gpreempt::{PolicyKind, Simulator, SimulatorConfig};
-use gpreempt_bench::{runner_from_env, scale_from_env};
+use gpreempt_bench::run_from_env;
 use gpreempt_trace::{parboil, ProcessSpec, Workload};
 use gpreempt_types::RtSpec;
 use std::hint::black_box;
@@ -30,12 +30,8 @@ fn deadline_workload(config: &SimulatorConfig) -> Workload {
 
 fn bench_realtime(c: &mut Criterion) {
     let config = SimulatorConfig::default();
-    let scale = scale_from_env();
-    let runner = runner_from_env();
-
-    let results = RealtimeResults::run_with(&config, &scale, &runner).expect("realtime sweep runs");
+    let results = run_from_env::<RealtimeSweep>();
     println!("{}", results.render().render());
-    println!("[{}]", results.timing().summary());
     assert!(
         results.gcaps_beats_ppq_somewhere(),
         "GCAPS should beat PPQ's miss rate in at least one swept scenario"

@@ -49,13 +49,10 @@
 //!   the unchanged aggregation, emitting a report byte-identical to the
 //!   unsharded run. Accepts `--format`, `--out`, `--jobs`, `--timing`.
 
-use gpreempt::experiments::{
-    ExperimentScale, Fig2Results, IsolatedRunCache, MechanismResults, PriorityResults,
-    RealtimeResults, SaturationResults, SpatialResults,
-};
+use gpreempt::experiments::{experiment_names, run_suite, ExperimentScale, SweepCtx};
 use gpreempt::sweep::{
     JsonlSink, MergedValues, ShardManifest, ShardSession, ShardSpec, SweepExec, SweepReport,
-    SweepRunner, SweepTiming,
+    SweepTiming,
 };
 use gpreempt::SimulatorConfig;
 use gpreempt_types::SimTime;
@@ -68,42 +65,12 @@ use std::io::Read as _;
 #[global_allocator]
 static ALLOC: gpreempt::sim::CountingAlloc = gpreempt::sim::CountingAlloc::new();
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Experiment {
-    Fig2,
-    Priority,
-    Spatial,
-    Mechanism,
-    Realtime,
-    Saturation,
-    All,
-}
-
-impl Experiment {
-    fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "fig2" => Ok(Experiment::Fig2),
-            "priority" => Ok(Experiment::Priority),
-            "spatial" => Ok(Experiment::Spatial),
-            "mechanism" => Ok(Experiment::Mechanism),
-            "realtime" => Ok(Experiment::Realtime),
-            "saturation" => Ok(Experiment::Saturation),
-            "all" => Ok(Experiment::All),
-            other => Err(format!("unknown experiment {other:?}")),
-        }
-    }
-
-    /// The selector string recorded in shard manifests.
-    fn label(self) -> &'static str {
-        match self {
-            Experiment::Fig2 => "fig2",
-            Experiment::Priority => "priority",
-            Experiment::Spatial => "spatial",
-            Experiment::Mechanism => "mechanism",
-            Experiment::Realtime => "realtime",
-            Experiment::Saturation => "saturation",
-            Experiment::All => "all",
-        }
+/// Checks an `--experiment` selector: `all` or one experiment's name.
+fn parse_experiment(text: &str) -> Result<String, String> {
+    if text == "all" || experiment_names().any(|name| name == text) {
+        Ok(text.to_string())
+    } else {
+        Err(format!("unknown experiment {text:?}"))
     }
 }
 
@@ -116,6 +83,7 @@ enum Format {
 fn usage() {
     println!("usage: run_sweep [options]");
     println!("       run_sweep merge SHARD.jsonl... [--format table|json] [--out FILE]");
+    println!("                 [--jobs N] [--timing]");
     println!(
         "  --experiment fig2|priority|spatial|mechanism|realtime|saturation|all (default all)"
     );
@@ -155,224 +123,29 @@ fn scale_by_name(name: &str) -> Result<ExperimentScale, String> {
     }
 }
 
-/// Runs the selected experiments under `exec` and collects their report,
-/// rendered tables and merged timing. In shard mode the harnesses yield no
-/// results (their fold values go to the checkpoint instead), so the report
-/// and tables come back empty; in full and merge mode the output is
-/// identical by construction.
-#[allow(clippy::too_many_arguments)]
-fn run_experiments(
-    experiment: Experiment,
-    config: &SimulatorConfig,
-    scale: &ExperimentScale,
-    runner: &SweepRunner,
-    isolated_cache: &IsolatedRunCache,
-    sink: Option<&JsonlSink>,
-    exec: &SweepExec<'_>,
-    timing_table: bool,
-) -> Result<(SweepReport, Vec<String>, SweepTiming), Box<dyn std::error::Error>> {
-    let mut report = SweepReport::new(scale.seed);
-    let mut timing = SweepTiming::default();
-    let mut tables: Vec<String> = Vec::new();
-    // Optional disk spill: realtime and saturation scenarios stream as they
-    // complete; the other experiments append their report records per
-    // experiment.
-    let spill =
-        |report: &SweepReport, first_new: usize| -> Result<(), Box<dyn std::error::Error>> {
-            if let Some(sink) = sink {
-                sink.append_all(&report.records()[first_new..])?;
-            }
-            Ok(())
-        };
-    // Per-experiment throughput, printed the moment each experiment
-    // completes so a long `--scale paper` run shows progress. Stderr, like
-    // the final summary, so piped JSON stays clean.
-    let note = |name: &str, t: &SweepTiming| {
-        if timing_table {
-            eprintln!(
-                "{name}: {} scenarios, {} events in {:.2?} ({:.0} events/s)",
-                t.entries.len(),
-                t.events,
-                t.total,
-                t.events_per_sec(),
-            );
-        }
-    };
-
-    if matches!(experiment, Experiment::Fig2 | Experiment::All) {
-        if let Some(results) = Fig2Results::run_exec(config, runner, exec)? {
-            note("fig2", results.timing());
-            tables.push(results.render().render());
-            let first_new = report.len();
-            report.merge(results.report());
-            spill(&report, first_new)?;
-            timing = timing.merged(results.timing().clone());
-        }
-    }
-    if matches!(experiment, Experiment::Priority | Experiment::All) {
-        if let Some(results) =
-            PriorityResults::run_exec(config, scale, runner, isolated_cache, exec)?
-        {
-            note("priority", results.timing());
-            tables.push(results.render_fig5().render());
-            tables.push(results.render_fig6(false).render());
-            tables.push(results.render_fig6(true).render());
-            let first_new = report.len();
-            report.merge(results.report());
-            spill(&report, first_new)?;
-            timing = timing.merged(results.timing().clone());
-        }
-    }
-    if matches!(experiment, Experiment::Spatial | Experiment::All) {
-        if let Some(results) =
-            SpatialResults::run_exec(config, scale, runner, isolated_cache, exec)?
-        {
-            note("spatial", results.timing());
-            tables.push(results.render_fig7a().render());
-            tables.push(results.render_fig7b().render());
-            tables.push(results.render_fig7c().render());
-            tables.push(results.render_fig8().render());
-            let first_new = report.len();
-            report.merge(results.report());
-            spill(&report, first_new)?;
-            timing = timing.merged(results.timing().clone());
-        }
-    }
-    if matches!(experiment, Experiment::Mechanism | Experiment::All) {
-        if let Some(results) =
-            MechanismResults::run_exec(config, scale, runner, isolated_cache, exec)?
-        {
-            note("mechanism", results.timing());
-            tables.push(results.render().render());
-            let first_new = report.len();
-            report.merge(results.report());
-            spill(&report, first_new)?;
-            timing = timing.merged(results.timing().clone());
-        }
-    }
-    if matches!(experiment, Experiment::Realtime | Experiment::All) {
-        // The realtime harness streams its raw per-scenario records through
-        // the sink itself (completion order; scenario-id order in a merge);
-        // only the aggregated cell records go through the shared report.
-        if let Some(results) =
-            RealtimeResults::run_exec(config, scale, runner, isolated_cache, sink, exec)?
-        {
-            note("realtime", results.timing());
-            tables.push(results.render().render());
-            report.merge(results.report());
-            timing = timing.merged(results.timing().clone());
-        }
-    }
-    if matches!(experiment, Experiment::Saturation | Experiment::All) {
-        // Like realtime, the saturation harness streams its raw
-        // per-scenario points through the sink itself.
-        if let Some(results) =
-            SaturationResults::run_exec(config, scale, runner, isolated_cache, sink, exec)?
-        {
-            note("saturation", results.timing());
-            tables.push(results.render().render());
-            report.merge(results.report());
-            timing = timing.merged(results.timing().clone());
-        }
-    }
-    Ok((report, tables, timing))
-}
-
-/// The `merge` subcommand: reassemble shard checkpoints into the report an
-/// unsharded run would have produced (byte-identical by construction — the
-/// aggregation code is the same, fed the same per-scenario values in the
-/// same order).
-fn merge_main(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut format = Format::Table;
-    let mut out_path: Option<String> = None;
-    let mut jobs = 0usize;
-    let mut timing_table = false;
-    let mut files: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("table") => Format::Table,
-                    Some("json") => Format::Json,
-                    other => return Err(format!("unknown format {other:?}").into()),
-                }
-            }
-            "--out" => out_path = Some(it.next().ok_or("missing output path")?.clone()),
-            "--jobs" => jobs = it.next().ok_or("missing job count")?.parse()?,
-            "--timing" => timing_table = true,
-            "--help" | "-h" => {
-                usage();
-                return Ok(());
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown merge option {other:?} (see --help)").into())
-            }
-            path => files.push(path.to_string()),
-        }
-    }
-    if files.is_empty() {
-        return Err("merge needs at least one shard checkpoint file".into());
-    }
-
-    let merged = MergedValues::load(&files)?;
-    let experiment = Experiment::parse(&merged.manifest().experiment)?;
-    let mut scale = scale_by_name(&merged.manifest().scale)?;
-    scale.seed = merged.manifest().seed;
-    if let Some(us) = merged.manifest().depth_trace_us {
-        scale = scale.with_depth_trace(Some(SimTime::from_micros(us)));
-    }
-
-    let config = SimulatorConfig::default();
-    // Only the cheap isolated probes actually simulate during a merge; the
-    // sweep bodies are replayed from the checkpoints.
-    let runner = SweepRunner::new(jobs);
-    let isolated_cache = IsolatedRunCache::new();
-    let sink = match &out_path {
-        Some(path) => Some(JsonlSink::create(path)?),
-        None => None,
-    };
-    let exec = SweepExec::Merge(&merged);
-    let (report, tables, timing) = run_experiments(
-        experiment,
-        &config,
-        &scale,
-        &runner,
-        &isolated_cache,
-        sink.as_ref(),
-        &exec,
-        timing_table,
-    )?;
-
-    match format {
-        Format::Table => {
-            for table in &tables {
-                println!("{table}");
-            }
-            if timing_table {
-                println!("{}", timing.render().render());
-            }
-        }
-        Format::Json => println!("{}", report.to_json()),
-    }
+/// Per-experiment throughput, printed the moment each experiment completes
+/// under `--timing` so a long `--scale paper` run shows progress. Stderr,
+/// like the final summary, so piped JSON stays clean.
+fn note(name: &str, t: &SweepTiming) {
     eprintln!(
-        "merged {} checkpointed scenarios from {} shard file(s)",
-        merged.len(),
-        files.len()
+        "{name}: {} scenarios, {} events in {:.2?} ({:.0} events/s)",
+        t.entries.len(),
+        t.events,
+        t.total,
+        t.events_per_sec(),
     );
-    if let (Some(sink), Some(path)) = (&sink, &out_path) {
-        eprintln!("streamed {} records to {path}", sink.written());
-    }
-    Ok(())
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cli: Vec<String> = std::env::args().skip(1).collect();
-    if cli.first().map(String::as_str) == Some("merge") {
-        return merge_main(&cli[1..]);
+    let mut cli: Vec<String> = std::env::args().skip(1).collect();
+    // `merge FILE...` replays shard checkpoints; the manifests supply the
+    // experiment, scale, seed and depth-trace interval.
+    let merging = cli.first().is_some_and(|arg| arg == "merge");
+    if merging {
+        cli.remove(0);
     }
 
-    let mut experiment = Experiment::All;
+    let mut experiment = "all".to_string();
     let mut scale_name = "quick".to_string();
     let mut jobs = 0usize;
     let mut format = Format::Table;
@@ -382,14 +155,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut out_path: Option<String> = None;
     let mut shard: Option<ShardSpec> = None;
     let mut shard_out: Option<String> = None;
+    let mut files: Vec<String> = Vec::new();
 
     let mut args = cli.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--experiment" => {
-                experiment = Experiment::parse(args.next().as_deref().unwrap_or("(missing)"))?;
-            }
-            "--scale" => scale_name = args.next().ok_or("missing scale")?,
             "--jobs" => jobs = args.next().ok_or("missing job count")?.parse()?,
             "--out" => out_path = Some(args.next().ok_or("missing output path")?),
             "--format" => {
@@ -399,6 +169,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     other => return Err(format!("unknown format {other:?}").into()),
                 }
             }
+            "--timing" => timing_table = true,
+            "--help" | "-h" => {
+                usage();
+                return Ok(());
+            }
+            path if merging && !path.starts_with("--") => files.push(arg),
+            other if merging => {
+                return Err(format!("unknown merge option {other:?} (see --help)").into())
+            }
+            "--experiment" => {
+                experiment = parse_experiment(args.next().as_deref().unwrap_or("(missing)"))?;
+            }
+            "--scale" => scale_name = args.next().ok_or("missing scale")?,
             "--seed" => seed = Some(args.next().ok_or("missing seed")?.parse()?),
             "--depth-trace" => {
                 depth_trace_us = Some(args.next().ok_or("missing depth-trace interval")?.parse()?);
@@ -407,16 +190,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 shard = Some(ShardSpec::parse(&args.next().ok_or("missing shard spec")?)?);
             }
             "--shard-out" => shard_out = Some(args.next().ok_or("missing shard path")?),
-            "--timing" => timing_table = true,
             "--validate" => return validate_stdin(),
-            "--help" | "-h" => {
-                usage();
-                return Ok(());
-            }
             other => return Err(format!("unknown option {other:?} (see --help)").into()),
         }
     }
 
+    let merged = if merging {
+        if files.is_empty() {
+            return Err("merge needs at least one shard checkpoint file".into());
+        }
+        let merged = MergedValues::load(&files)?;
+        let manifest = merged.manifest();
+        experiment.clone_from(&manifest.experiment);
+        scale_name.clone_from(&manifest.scale);
+        seed = Some(manifest.seed);
+        depth_trace_us = manifest.depth_trace_us;
+        Some(merged)
+    } else {
+        None
+    };
     let mut scale = scale_by_name(&scale_name)?;
     if let Some(seed) = seed {
         scale.seed = seed;
@@ -437,13 +229,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let path = shard_out
                 .take()
                 .unwrap_or_else(|| format!("shard-{}-of-{}.jsonl", spec.index, spec.count));
-            let manifest = ShardManifest::new(
-                experiment.label(),
-                &scale_name,
-                scale.seed,
-                spec,
-                depth_trace_us,
-            );
+            let manifest =
+                ShardManifest::new(&experiment, &scale_name, scale.seed, spec, depth_trace_us);
             Some((ShardSession::open(&path, manifest)?, path))
         }
         None => {
@@ -454,33 +241,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
 
-    let config = SimulatorConfig::default();
-    let runner = SweepRunner::new(jobs);
-    // One isolated-run cache for the whole invocation: under
-    // `--experiment all` the priority, spatial, mechanism and realtime
-    // experiments share the same base configuration, so each distinct
-    // isolated scenario simulates exactly once instead of once per
-    // experiment.
-    let isolated_cache = IsolatedRunCache::new();
     let sink = match &out_path {
         Some(path) => Some(JsonlSink::create(path)?),
         None => None,
     };
-    let exec = match &session {
-        Some((session, _)) => SweepExec::Shard(session),
-        None => SweepExec::Full,
-    };
-
-    let (report, tables, timing) = run_experiments(
-        experiment,
-        &config,
-        &scale,
-        &runner,
-        &isolated_cache,
-        sink.as_ref(),
-        &exec,
-        timing_table,
-    )?;
+    // One context — and so one isolated-run cache — for the whole
+    // invocation: under `--experiment all` the priority, spatial, mechanism
+    // and realtime experiments share the same base configuration, so each
+    // distinct isolated scenario simulates exactly once instead of once
+    // per experiment. A merge simulates only these cheap isolated probes;
+    // the sweep bodies are replayed from the checkpoints.
+    let mut ctx = SweepCtx::new(SimulatorConfig::default(), scale, jobs);
+    ctx.spill = sink.as_ref();
+    if let Some(merged) = &merged {
+        ctx.exec = SweepExec::Merge(merged);
+    } else if let Some((session, _)) = &session {
+        ctx.exec = SweepExec::Shard(session);
+    }
+    let out = run_suite(&experiment, &mut ctx, &|name, t| {
+        if timing_table {
+            note(name, t);
+        }
+    })?;
 
     if let Some((session, path)) = &session {
         // A shard run has no report or tables — its entire output is the
@@ -497,30 +279,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     match format {
         Format::Table => {
-            for table in &tables {
+            for table in &out.tables {
                 println!("{table}");
             }
             if timing_table {
-                println!("{}", timing.render().render());
+                println!("{}", out.timing.render().render());
             }
         }
-        Format::Json => println!("{}", report.to_json()),
+        Format::Json => println!("{}", out.report.to_json()),
     }
     // The wall-clock summary is informational and run-to-run varying, so
     // it goes to stderr: `--format json | run_sweep --validate` stays
     // clean.
-    eprintln!("{}", timing.summary());
+    eprintln!("{}", out.timing.summary());
+    if let Some(merged) = &merged {
+        eprintln!(
+            "merged {} checkpointed scenarios from {} shard file(s)",
+            merged.len(),
+            files.len()
+        );
+    }
     if let (Some(sink), Some(path)) = (&sink, &out_path) {
         eprintln!("streamed {} records to {path}", sink.written());
     }
-    if isolated_cache.hits() > 0 {
+    if ctx.cache.hits() > 0 {
         eprintln!(
             "isolated-run cache: {} simulated, {} reused across experiments",
-            isolated_cache.misses(),
-            isolated_cache.hits()
+            ctx.cache.misses(),
+            ctx.cache.hits()
         );
     }
-    if let Some(slowest) = timing.slowest() {
+    if let Some(slowest) = out.timing.slowest() {
         eprintln!(
             "slowest scenario: {} / {} / {} at {:.2?}",
             slowest.group, slowest.workload, slowest.label, slowest.wall

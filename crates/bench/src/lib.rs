@@ -12,35 +12,41 @@
 //! * `paper` — the full population described in §4.1 (tens of minutes
 //!   sequentially; minutes with a parallel sweep).
 //!
-//! The figure benches route their experiment populations through the
-//! [`SweepRunner`], parallelised across `GPREEMPT_JOBS` workers (default:
-//! one per CPU; sweep results are bit-identical at every worker count, so
-//! this only changes wall-clock time, never output).
+//! The figure benches run their experiments through [`run_from_env`], on
+//! `GPREEMPT_JOBS` sweep workers (default: one per CPU; sweep results are
+//! bit-identical at every worker count, so this only changes wall-clock
+//! time, never output).
 
 #![warn(missing_docs)]
 
-use gpreempt::experiments::ExperimentScale;
-use gpreempt::sweep::SweepRunner;
+use gpreempt::experiments::{self, Experiment, ExperimentScale, SweepCtx};
 use gpreempt::{PolicyKind, SimulationRun, Simulator, SimulatorConfig};
 use gpreempt_trace::{parboil, ProcessSpec, Workload};
 
-/// Reads the experiment scale from `GPREEMPT_SCALE` (default: `bench`).
-pub fn scale_from_env() -> ExperimentScale {
-    match std::env::var("GPREEMPT_SCALE").as_deref() {
+/// Runs one experiment over the default configuration at the
+/// `GPREEMPT_SCALE` population (`quick` / `bench` / `paper`, default
+/// `bench`) on `GPREEMPT_JOBS` workers (default `0` = one per CPU), prints
+/// its wall-clock summary and returns its results.
+///
+/// # Panics
+///
+/// Panics if the experiment fails.
+pub fn run_from_env<E: Experiment + Default>() -> E::Results {
+    let scale = match std::env::var("GPREEMPT_SCALE").as_deref() {
         Ok("quick") => ExperimentScale::quick(),
         Ok("paper") => ExperimentScale::paper(),
         _ => ExperimentScale::bench(),
-    }
-}
-
-/// Builds a sweep runner from `GPREEMPT_JOBS` (default `0` = one worker per
-/// CPU; `1` restores the historical sequential harness execution).
-pub fn runner_from_env() -> SweepRunner {
+    };
     let jobs = std::env::var("GPREEMPT_JOBS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
-    SweepRunner::new(jobs)
+    let mut ctx = SweepCtx::new(SimulatorConfig::default(), scale, jobs);
+    let (results, timing) = experiments::run::<E>(&mut ctx)
+        .expect("experiment runs")
+        .expect("a full run aggregates");
+    println!("[{}]", timing.summary());
+    results
 }
 
 /// A small representative workload (two short applications, one completed

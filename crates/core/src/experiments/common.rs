@@ -1,9 +1,8 @@
 //! Shared infrastructure of the experiment harnesses.
 
-use crate::config::{PolicyKind, SimulatorConfig};
-use crate::simulator::Simulator;
-use crate::sweep::{Scenario, SweepPlan, SweepRunner, SweepTiming};
-use gpreempt_gpu::PreemptionMechanism;
+use crate::config::SimulatorConfig;
+use crate::experiments::SweepCtx;
+use crate::sweep::{Metrics, Scenario, SweepPlan};
 use gpreempt_sim::SimRng;
 use gpreempt_trace::{parboil, BenchmarkTrace, Workload, WorkloadGenerator};
 use gpreempt_types::{SimError, SimTime};
@@ -171,9 +170,87 @@ pub fn ci95(values: &[f64]) -> f64 {
     t * gpreempt_sim::stats::stddev(values) / (values.len() as f64).sqrt()
 }
 
-/// Cache of per-benchmark isolated execution times (the denominator of every
-/// normalized metric). Isolated times do not depend on the scheduling policy
-/// or the preemption mechanism, so one cache is shared by every experiment.
+/// A drawn workload population with each workload's isolated times: the
+/// planned state of the experiments that run every workload under each
+/// configuration of a fixed list (priority, spatial, mechanism).
+#[derive(Debug, Default)]
+pub(crate) struct Population {
+    /// `(size, workload)`, in enumeration order.
+    pub workloads: Vec<(usize, Workload)>,
+    /// The isolated times of each workload's processes.
+    pub isolated: Vec<Vec<SimTime>>,
+    /// The scale's workload sizes.
+    pub sizes: Vec<usize>,
+    /// The scale's workload-generation seed (the plan seed).
+    pub seed: u64,
+}
+
+impl Population {
+    /// Draws `draw(generator, size)` for every workload size of the
+    /// context's scale, applies the scale's replay target, and measures the
+    /// isolated times.
+    ///
+    /// # Errors
+    ///
+    /// Propagates isolated-phase simulation errors.
+    pub fn draw(
+        ctx: &mut SweepCtx<'_>,
+        mut draw: impl FnMut(&mut WorkloadGenerator, usize) -> Vec<Workload>,
+    ) -> Result<Self, SimError> {
+        let scale = &ctx.scale;
+        let mut generator = scale.generator(&ctx.config);
+        let mut workloads = Vec::new();
+        for &size in &scale.workload_sizes {
+            for workload in draw(&mut generator, size) {
+                workloads.push((size, scale.finalize(workload)));
+            }
+        }
+        let (sizes, seed) = (scale.workload_sizes.clone(), scale.seed);
+        let times = ctx.isolated_times(workloads.iter().map(|(_, w)| w))?;
+        let isolated = workloads
+            .iter()
+            .map(|(_, w)| times.times_for(w))
+            .collect::<Result<_, _>>()?;
+        Ok(Population {
+            workloads,
+            isolated,
+            sizes,
+            seed,
+        })
+    }
+
+    /// The plan: `scenarios(workload)` for every workload, in order. Each
+    /// workload contributes the same number of scenarios, so scenario `id`
+    /// belongs to workload `id / per_workload`.
+    pub fn plan<I: IntoIterator<Item = Scenario>>(
+        &self,
+        config: &SimulatorConfig,
+        scenarios: impl Fn(&Workload) -> I,
+    ) -> SweepPlan {
+        let mut plan = SweepPlan::new(config.clone()).with_seed(self.seed);
+        for (_, workload) in &self.workloads {
+            for scenario in scenarios(workload) {
+                plan.push(scenario);
+            }
+        }
+        plan
+    }
+}
+
+/// Mean and 95 % CI half-width of one named metric across replicate fold
+/// records (NaN where a record lacks it).
+pub(crate) fn replicate_stat(points: &[Metrics], name: &str) -> (f64, f64) {
+    let values: Vec<f64> = points
+        .iter()
+        .map(|p| p.value(name).unwrap_or(f64::NAN))
+        .collect();
+    (gpreempt_sim::stats::mean(&values), ci95(&values))
+}
+
+/// Per-benchmark isolated execution times (the denominator of every
+/// normalized metric), as the isolated phase
+/// ([`SweepCtx::isolated_times`](crate::experiments::SweepCtx::isolated_times))
+/// computes them for one experiment.
 #[derive(Debug, Default)]
 pub struct IsolatedTimes {
     times: HashMap<String, SimTime>,
@@ -183,42 +260,6 @@ impl IsolatedTimes {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The isolated execution time of `benchmark`, simulating it on first
-    /// use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors from the isolated run.
-    pub fn time_of(
-        &mut self,
-        simulator: &Simulator,
-        benchmark: &BenchmarkTrace,
-    ) -> Result<SimTime, SimError> {
-        if let Some(&t) = self.times.get(benchmark.name()) {
-            return Ok(t);
-        }
-        let t = simulator.isolated_time(benchmark)?;
-        self.times.insert(benchmark.name().to_string(), t);
-        Ok(t)
-    }
-
-    /// Isolated times of every process of a workload, in process order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors from the isolated runs.
-    pub fn for_workload(
-        &mut self,
-        simulator: &Simulator,
-        workload: &Workload,
-    ) -> Result<Vec<SimTime>, SimError> {
-        workload
-            .processes()
-            .iter()
-            .map(|p| self.time_of(simulator, &p.benchmark))
-            .collect()
     }
 
     /// Number of benchmarks cached so far.
@@ -231,8 +272,7 @@ impl IsolatedTimes {
         self.times.is_empty()
     }
 
-    /// Inserts a precomputed isolated time (used by the sweep phase that
-    /// batch-computes them).
+    /// Inserts a precomputed isolated time.
     pub fn insert(&mut self, benchmark: impl Into<String>, time: SimTime) {
         self.times.insert(benchmark.into(), time);
     }
@@ -278,8 +318,8 @@ impl IsolatedTimes {
 /// each distinct isolated scenario exactly once instead of once per
 /// experiment.
 ///
-/// The cache is `Sync` (a mutex around the map, atomic hit/miss counters)
-/// so one instance can be threaded through any number of harness runs.
+/// The cache is `Sync` (a mutex around the map, atomic hit/miss counters);
+/// a [`SweepCtx`] owns one for all the experiments run under it.
 #[derive(Debug, Default)]
 pub struct IsolatedRunCache {
     /// Fingerprint → (benchmark name → isolated time). The nesting lets
@@ -366,85 +406,6 @@ pub fn config_fingerprint(config: &SimulatorConfig) -> u64 {
     hash
 }
 
-/// Enumerates one isolated-execution scenario per distinct benchmark of the
-/// given workloads (first-appearance order) into a fresh plan, runs it on
-/// `runner`, and returns the populated [`IsolatedTimes`] cache plus the
-/// phase's wall-clock timing.
-///
-/// Each scenario replicates [`Simulator::isolated_time`] exactly — a
-/// single-process FCFS run under the fixed context-switch mechanism — so
-/// the cached values are bit-identical to the historical lazy computation,
-/// but distinct benchmarks simulate concurrently when the runner has more
-/// than one worker.
-///
-/// # Errors
-///
-/// Propagates any simulation error.
-pub fn isolated_times_via<'a>(
-    runner: &SweepRunner,
-    config: &SimulatorConfig,
-    workloads: impl IntoIterator<Item = &'a Workload>,
-) -> Result<(IsolatedTimes, SweepTiming), SimError> {
-    isolated_times_with_cache(runner, config, workloads, &IsolatedRunCache::new())
-}
-
-/// [`isolated_times_via`] backed by a shared [`IsolatedRunCache`]:
-/// benchmarks whose isolated time is already cached for this configuration
-/// are filled from the cache, and only the missing ones are enumerated and
-/// simulated. The isolated runs themselves are streamed (folded to a single
-/// [`SimTime`] on the worker), so the phase holds no run bodies either.
-///
-/// # Errors
-///
-/// Propagates any simulation error.
-pub fn isolated_times_with_cache<'a>(
-    runner: &SweepRunner,
-    config: &SimulatorConfig,
-    workloads: impl IntoIterator<Item = &'a Workload>,
-    cache: &IsolatedRunCache,
-) -> Result<(IsolatedTimes, SweepTiming), SimError> {
-    let iso_config = config
-        .clone()
-        .with_mechanism(PreemptionMechanism::ContextSwitch);
-    let fingerprint = config_fingerprint(&iso_config);
-    let mut plan = SweepPlan::new(iso_config);
-    let mut times = IsolatedTimes::new();
-    let mut seen: Vec<String> = Vec::new();
-    let mut missing: Vec<String> = Vec::new();
-    for workload in workloads {
-        for process in workload.processes() {
-            let name = process.benchmark.name();
-            if seen.iter().any(|n| n == name) {
-                continue;
-            }
-            seen.push(name.to_string());
-            if let Some(t) = cache.lookup(name, fingerprint) {
-                times.insert(name, t);
-                continue;
-            }
-            missing.push(name.to_string());
-            let isolated = Simulator::isolated_workload(&process.benchmark);
-            plan.push(Scenario::new("isolated", name, isolated, PolicyKind::Fcfs));
-        }
-    }
-    let results = runner.run_fold(&plan, &|_, run| Ok(Simulator::isolated_time_of(&run)))?;
-    let timing = results.timing(&plan);
-    for (name, outcome) in missing.into_iter().zip(results.outcomes()) {
-        cache.insert(name.clone(), fingerprint, outcome.value);
-        times.insert(name, outcome.value);
-    }
-    Ok((times, timing))
-}
-
-/// Builds a simulator with the given preemption mechanism, sharing all other
-/// configuration.
-pub fn simulator_with_mechanism(
-    config: &SimulatorConfig,
-    mechanism: PreemptionMechanism,
-) -> Simulator {
-    Simulator::new(config.clone().with_mechanism(mechanism))
-}
-
 /// Arithmetic mean of an iterator of values; NaN when empty (rendered as
 /// `-` in tables and `null` in JSON).
 pub fn mean_of<I: IntoIterator<Item = f64>>(values: I) -> f64 {
@@ -455,7 +416,8 @@ pub fn mean_of<I: IntoIterator<Item = f64>>(values: I) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpreempt_trace::parboil;
+    use crate::experiments::SweepCtx;
+    use gpreempt_trace::{parboil, ProcessSpec};
     use gpreempt_types::GpuConfig;
 
     #[test]
@@ -492,18 +454,23 @@ mod tests {
         let _ = scale.suite(&config);
     }
 
+    /// The isolated phase simulates each distinct benchmark once per
+    /// context, however often workloads repeat it; later lookups hit.
     #[test]
     fn isolated_cache_deduplicates() {
-        let config = SimulatorConfig::default();
-        let sim = Simulator::new(config);
         let gpu = GpuConfig::default();
-        let mut cache = IsolatedTimes::new();
-        assert!(cache.is_empty());
         let spmv = parboil::benchmark("spmv", &gpu).unwrap();
-        let a = cache.time_of(&sim, &spmv).unwrap();
-        let b = cache.time_of(&sim, &spmv).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(cache.len(), 1);
+        let workload = Workload::new(
+            "twice",
+            vec![ProcessSpec::new(spmv.clone()), ProcessSpec::new(spmv)],
+        );
+        let mut ctx = SweepCtx::new(SimulatorConfig::default(), ExperimentScale::quick(), 1);
+        let first = ctx.isolated_times([&workload, &workload]).unwrap();
+        assert_eq!(first.len(), 1);
+        assert_eq!((ctx.cache.len(), ctx.cache.misses()), (1, 1));
+        let again = ctx.isolated_times([&workload]).unwrap();
+        assert_eq!(again.times_for(&workload), first.times_for(&workload));
+        assert_eq!((ctx.cache.misses(), ctx.cache.hits()), (1, 1));
     }
 
     #[test]
@@ -513,44 +480,11 @@ mod tests {
     }
 
     #[test]
-    fn sweep_isolated_times_match_the_lazy_cache() {
-        let config = SimulatorConfig::default();
-        let gpu = GpuConfig::default();
-        let spmv = parboil::benchmark("spmv", &gpu).unwrap();
-        let sgemm = parboil::benchmark("sgemm", &gpu).unwrap();
-        let workload = Workload::new(
-            "pair",
-            vec![
-                gpreempt_trace::ProcessSpec::new(spmv.clone()),
-                gpreempt_trace::ProcessSpec::new(sgemm.clone()),
-                gpreempt_trace::ProcessSpec::new(spmv.clone()),
-            ],
-        );
-
-        // Historical lazy path: reference simulator + per-benchmark cache.
-        let reference = simulator_with_mechanism(&config, PreemptionMechanism::ContextSwitch);
-        let mut lazy = IsolatedTimes::new();
-        let expected = lazy.for_workload(&reference, &workload).unwrap();
-
-        // Sweep path, sequential and parallel.
-        for jobs in [1, 4] {
-            let (cache, timing) =
-                isolated_times_via(&SweepRunner::new(jobs), &config, [&workload]).unwrap();
-            assert_eq!(cache.len(), 2, "two distinct benchmarks");
-            assert_eq!(cache.times_for(&workload).unwrap(), expected, "jobs={jobs}");
-            assert_eq!(timing.entries.len(), 2);
-            assert_eq!(timing.entries[0].group, "isolated");
-        }
-    }
-
-    #[test]
     fn times_for_reports_missing_benchmarks() {
         let gpu = GpuConfig::default();
         let workload = Workload::new(
             "w",
-            vec![gpreempt_trace::ProcessSpec::new(
-                parboil::benchmark("spmv", &gpu).unwrap(),
-            )],
+            vec![ProcessSpec::new(parboil::benchmark("spmv", &gpu).unwrap())],
         );
         let mut cache = IsolatedTimes::new();
         assert!(cache.times_for(&workload).is_err());

@@ -6,16 +6,17 @@
 //! priority scheduler it only waits for K1; with a preemptive scheduler it
 //! starts almost immediately.
 
-use crate::config::{PolicyKind, SimulatorConfig};
-use crate::json::Value;
+use crate::config::PolicyKind;
+use crate::experiments::{Experiment, SweepCtx};
 use crate::report::TextTable;
-use crate::sweep::shard::{dec_time, enc_time, field, run_plan_values};
-use crate::sweep::{
-    Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming, ValueCodec,
-};
+use crate::simulator::SimulationRun;
+use crate::sweep::{Metrics, Scenario, SweepPlan, SweepRecord, SweepReport};
 use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
 use gpreempt_trace::{BenchmarkTrace, KernelSpec, ProcessSpec, Workload};
 use gpreempt_types::{KernelFootprint, Priority, ProcessId, SimError, SimTime};
+
+/// The three schedulers of the figure, in the order the paper draws them.
+const POLICIES: [PolicyKind; 3] = [PolicyKind::Fcfs, PolicyKind::Npq, PolicyKind::PpqExclusive];
 
 /// Timeline of the three kernels under one scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,153 +35,87 @@ pub struct Fig2Timeline {
 
 /// The Figure 2 experiment: the same three-kernel scenario under FCFS,
 /// non-preemptive priority and preemptive priority scheduling.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Results {
     /// The three timelines in the order the paper draws them: (a) FCFS,
     /// (b) non-preemptive priority, (c) preemptive priority.
     pub timelines: Vec<Fig2Timeline>,
     plan_seed: u64,
-    timing: SweepTiming,
 }
 
-impl PartialEq for Fig2Results {
-    /// Equality over the simulated timelines only: wall-clock timing varies
-    /// run to run even when the simulation output is bit-identical.
-    fn eq(&self, other: &Self) -> bool {
-        self.timelines == other.timelines && self.plan_seed == other.plan_seed
-    }
+/// The Figure 2 sweep: one scenario per scheduler; each run is folded into
+/// its four timeline marks, in exact nanoseconds.
+#[derive(Debug, Default)]
+pub struct Fig2Sweep {
+    plan_seed: u64,
 }
 
-impl Fig2Results {
-    /// The three schedulers of the figure, in the order the paper draws
-    /// them.
-    const POLICIES: [PolicyKind; 3] = [PolicyKind::Fcfs, PolicyKind::Npq, PolicyKind::PpqExclusive];
+impl Experiment for Fig2Sweep {
+    const NAME: &'static str = "fig2";
+    const SCHEMA: &'static str = "k1_finish_ns,k2_finish_ns,k3_start_ns,k3_finish_ns";
+    type Results = Fig2Results;
 
-    /// Runs the scenario sequentially.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run(config: &SimulatorConfig) -> Result<Self, SimError> {
-        Self::run_with(config, &SweepRunner::sequential())
-    }
-
-    /// Runs the three-scheduler scenario on `runner`'s workers; results are
-    /// bit-identical for every worker count. The timeline marks are folded
-    /// out of each run on the worker that simulated it; no run bodies are
-    /// retained.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with(config: &SimulatorConfig, runner: &SweepRunner) -> Result<Self, SimError> {
-        Ok(Self::run_exec(config, runner, &SweepExec::Full)?.expect("full run yields results"))
-    }
-
-    /// [`run_with`](Self::run_with) under an explicit execution mode: a
-    /// shard run checkpoints timelines and returns `None`; a merge decodes
-    /// them and aggregates exactly like a full run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, checkpoint and decode errors.
-    pub fn run_exec(
-        config: &SimulatorConfig,
-        runner: &SweepRunner,
-        exec: &SweepExec<'_>,
-    ) -> Result<Option<Self>, SimError> {
-        let workload = Self::workload();
-        let mut plan = SweepPlan::new(config.clone());
-        for policy in Self::POLICIES {
+    fn plan(&mut self, ctx: &mut SweepCtx<'_>) -> Result<SweepPlan, SimError> {
+        let workload = Fig2Results::workload();
+        let mut plan = SweepPlan::new(ctx.config.clone());
+        for policy in POLICIES {
             plan.push(
                 Scenario::new("fig2", policy.label(), workload.clone(), policy).with_selection(
                     MechanismSelection::Fixed(PreemptionMechanism::ContextSwitch),
                 ),
             );
         }
-        let fold = |scenario: &Scenario, run: crate::SimulationRun| {
-            let completion_of = |process: u32| {
-                run.kernel_completions()
-                    .iter()
-                    .find(|c| c.process == ProcessId::new(process))
-                    .copied()
-                    .expect("kernel completed")
-            };
-            // Process 0 launches K1 then K2 (same stream); process 1
-            // launches the high-priority K3.
-            let k1 = run
-                .kernel_completions()
+        self.plan_seed = plan.seed();
+        Ok(plan)
+    }
+
+    fn fold(&self, _: &Scenario, run: &SimulationRun) -> Result<Metrics, SimError> {
+        // Process 0 launches K1 then K2 (different streams); process 1
+        // launches the high-priority K3.
+        let low = || {
+            run.kernel_completions()
                 .iter()
                 .filter(|c| c.process == ProcessId::new(0))
                 .map(|c| c.finished_at)
-                .min()
-                .expect("K1 completed");
-            let k2 = run
-                .kernel_completions()
-                .iter()
-                .filter(|c| c.process == ProcessId::new(0))
-                .map(|c| c.finished_at)
-                .max()
-                .expect("K2 completed");
-            let k3 = completion_of(1);
-            Ok(Fig2Timeline {
-                policy: Self::POLICIES[scenario.id],
-                k1_finish: k1,
-                k2_finish: k2,
-                k3_start: k3.started_at,
-                k3_finish: k3.finished_at,
-            })
         };
-        let outcome = run_plan_values(
-            exec,
-            runner,
-            &plan,
-            "fig2",
-            &Self::codec(),
-            &fold,
-            &|_, _| Ok(()),
-        )?;
-        Ok(outcome.values.map(|timelines| Fig2Results {
-            timelines,
-            plan_seed: plan.seed(),
-            timing: outcome.timing,
-        }))
+        let k1 = low().min().expect("K1 completed");
+        let k2 = low().max().expect("K2 completed");
+        let k3 = run
+            .kernel_completions()
+            .iter()
+            .find(|c| c.process == ProcessId::new(1))
+            .expect("K3 completed");
+        let ns = |t: SimTime| t.as_nanos() as f64;
+        Ok(Metrics::default()
+            .with_value("k1_finish_ns", ns(k1))
+            .with_value("k2_finish_ns", ns(k2))
+            .with_value("k3_start_ns", ns(k3.started_at))
+            .with_value("k3_finish_ns", ns(k3.finished_at)))
     }
 
-    /// Checkpoint codec for one timeline. The policy rides along because a
-    /// decoder only sees the value, not the scenario that produced it.
-    fn codec() -> ValueCodec<Fig2Timeline> {
-        fn encode(t: &Fig2Timeline) -> Value {
-            Value::object([
-                ("policy", Value::from(t.policy.label())),
-                ("k1_finish_ns", enc_time(t.k1_finish)),
-                ("k2_finish_ns", enc_time(t.k2_finish)),
-                ("k3_start_ns", enc_time(t.k3_start)),
-                ("k3_finish_ns", enc_time(t.k3_finish)),
-            ])
-        }
-        fn decode(v: &Value) -> Result<Fig2Timeline, SimError> {
-            let label = field(v, "policy")?.as_str().unwrap_or_default();
-            let policy = PolicyKind::all()
-                .into_iter()
-                .find(|p| p.label() == label)
-                .ok_or_else(|| SimError::internal(format!("unknown policy label {label:?}")))?;
-            Ok(Fig2Timeline {
-                policy,
-                k1_finish: dec_time(field(v, "k1_finish_ns")?)?,
-                k2_finish: dec_time(field(v, "k2_finish_ns")?)?,
-                k3_start: dec_time(field(v, "k3_start_ns")?)?,
-                k3_finish: dec_time(field(v, "k3_finish_ns")?)?,
+    fn aggregate(self, metrics: Vec<Metrics>) -> Result<Fig2Results, SimError> {
+        let time = |m: &Metrics, name: &str| m.get(name).map(|ns| SimTime::from_nanos(ns as u64));
+        let timelines = POLICIES
+            .into_iter()
+            .zip(&metrics)
+            .map(|(policy, m)| {
+                Ok(Fig2Timeline {
+                    policy,
+                    k1_finish: time(m, "k1_finish_ns")?,
+                    k2_finish: time(m, "k2_finish_ns")?,
+                    k3_start: time(m, "k3_start_ns")?,
+                    k3_finish: time(m, "k3_finish_ns")?,
+                })
             })
-        }
-        ValueCodec { encode, decode }
+            .collect::<Result<_, SimError>>()?;
+        Ok(Fig2Results {
+            timelines,
+            plan_seed: self.plan_seed,
+        })
     }
+}
 
-    /// Wall-clock timing of the underlying three-scenario sweep.
-    pub fn timing(&self) -> &SweepTiming {
-        &self.timing
-    }
-
+impl Fig2Results {
     /// The machine-readable report: one record per scheduler with the four
     /// timeline marks in microseconds.
     pub fn report(&self) -> SweepReport {

@@ -8,17 +8,12 @@
 //! latency, the adaptive pick split and the remaining-time estimator's mean
 //! prediction error.
 
-use crate::config::{PolicyKind, SimulatorConfig};
-use crate::experiments::common::{isolated_times_with_cache, ExperimentScale, IsolatedRunCache};
-use crate::json::Value;
+use crate::config::PolicyKind;
+use crate::experiments::common::Population;
+use crate::experiments::{Experiment, SweepCtx};
 use crate::report::TextTable;
 use crate::simulator::SimulationRun;
-use crate::sweep::shard::{
-    dec_f64, dec_time, dec_u64, enc_f64, enc_time, enc_u64, field, run_plan_values,
-};
-use crate::sweep::{
-    Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming, ValueCodec,
-};
+use crate::sweep::{Metrics, Scenario, SweepPlan, SweepRecord, SweepReport};
 use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
 use gpreempt_sim::stats::fmt_stat;
 use gpreempt_types::{SimError, SimTime};
@@ -143,183 +138,95 @@ pub struct MechanismResults {
     records: Vec<MechanismRecord>,
     sizes: Vec<usize>,
     seed: u64,
-    timing: SweepTiming,
 }
 
-impl MechanismResults {
-    /// Runs the ablation at the given scale on a single worker (the
-    /// historical sequential behaviour): every random workload of every
-    /// size is simulated under DSS (the preemption-heavy policy) with each
-    /// of the three mechanism configurations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run(config: &SimulatorConfig, scale: &ExperimentScale) -> Result<Self, SimError> {
-        Self::run_with(config, scale, &SweepRunner::sequential())
+/// The mechanism-selection sweep: every random workload of every size
+/// under DSS (the preemption-heavy policy) with each [`MechanismConfig`],
+/// folded into metrics plus engine counters; latencies travel as exact
+/// nanoseconds.
+#[derive(Debug, Default)]
+pub struct MechanismSweep {
+    population: Population,
+}
+
+impl Experiment for MechanismSweep {
+    const NAME: &'static str = "mechanism";
+    const SCHEMA: &'static str = "antt,stp,fairness,preemptions,preemptions_completed,\
+        mean_preemption_latency_ns,drain_picks,cs_picks,mean_estimate_error_ns";
+    type Results = MechanismResults;
+
+    fn plan(&mut self, ctx: &mut SweepCtx<'_>) -> Result<SweepPlan, SimError> {
+        let count = ctx.scale.random_workloads;
+        self.population = Population::draw(ctx, |generator, size| {
+            generator.random_population(size, count)
+        })?;
+        Ok(self.population.plan(&ctx.config, |workload| {
+            MechanismConfig::all().map(|cfg| {
+                Scenario::new("mechanism", cfg.label(), workload.clone(), PolicyKind::Dss)
+                    .with_selection(cfg.selection())
+            })
+        }))
     }
 
-    /// Runs the ablation at the given scale on `runner`'s workers; results
-    /// are bit-identical for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-    ) -> Result<Self, SimError> {
-        Self::run_with_cache(config, scale, runner, &IsolatedRunCache::new())
+    fn fold(&self, scenario: &Scenario, run: &SimulationRun) -> Result<Metrics, SimError> {
+        let isolated = &self.population.isolated[scenario.id / MechanismConfig::all().len()];
+        let metrics = run.metrics(isolated)?;
+        let stats = run.engine_stats();
+        Ok(Metrics::default()
+            .with_value("antt", metrics.antt())
+            .with_value("stp", metrics.stp())
+            .with_value("fairness", metrics.fairness())
+            .with_value("preemptions", stats.preemptions as f64)
+            .with_value("preemptions_completed", stats.preemptions_completed as f64)
+            .with_value(
+                "mean_preemption_latency_ns",
+                stats.mean_preemption_latency().as_nanos() as f64,
+            )
+            .with_value("drain_picks", stats.adaptive_drain_picks as f64)
+            .with_value("cs_picks", stats.adaptive_cs_picks as f64)
+            .with_value(
+                "mean_estimate_error_ns",
+                stats.mean_estimate_error().as_nanos() as f64,
+            ))
     }
 
-    /// [`run_with`](Self::run_with) backed by a shared [`IsolatedRunCache`]
-    /// and a streaming main sweep: each [`SimulationRun`] is folded into its
-    /// [`MechanismOutcome`] (metrics plus engine counters) on the worker and
-    /// dropped, so memory stays O(scenarios).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with_cache(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-    ) -> Result<Self, SimError> {
-        Ok(
-            Self::run_exec(config, scale, runner, cache, &SweepExec::Full)?
-                .expect("full run yields results"),
-        )
-    }
-
-    /// [`run_with_cache`](Self::run_with_cache) under an explicit execution
-    /// mode: a shard run checkpoints outcomes and returns `None`; a merge
-    /// decodes them and aggregates exactly like a full run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, checkpoint and decode errors.
-    pub fn run_exec(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        exec: &SweepExec<'_>,
-    ) -> Result<Option<Self>, SimError> {
-        let mut generator = scale.generator(config);
-        let mut workloads = Vec::new();
-        for &size in &scale.workload_sizes {
-            for workload in generator.random_population(size, scale.random_workloads) {
-                workloads.push((size, scale.finalize(workload)));
-            }
-        }
-
-        let (isolated, iso_timing) =
-            isolated_times_with_cache(runner, config, workloads.iter().map(|(_, w)| w), cache)?;
-        let iso_per_workload: Vec<Vec<SimTime>> = workloads
-            .iter()
-            .map(|(_, w)| isolated.times_for(w))
-            .collect::<Result<_, _>>()?;
-
-        let mut plan = SweepPlan::new(config.clone()).with_seed(scale.seed);
-        for (_, workload) in &workloads {
-            for cfg in MechanismConfig::all() {
-                plan.push(
-                    Scenario::new("mechanism", cfg.label(), workload.clone(), PolicyKind::Dss)
-                        .with_selection(cfg.selection()),
-                );
-            }
-        }
-        let n_cfg = MechanismConfig::all().len();
-        let fold =
-            |scenario: &Scenario, run: SimulationRun| -> Result<MechanismOutcome, SimError> {
-                let metrics = run.metrics(&iso_per_workload[scenario.id / n_cfg])?;
-                let stats = run.engine_stats();
-                Ok(MechanismOutcome {
-                    antt: metrics.antt(),
-                    stp: metrics.stp(),
-                    fairness: metrics.fairness(),
-                    preemptions: stats.preemptions,
-                    preemptions_completed: stats.preemptions_completed,
-                    mean_preemption_latency: stats.mean_preemption_latency(),
-                    drain_picks: stats.adaptive_drain_picks,
-                    cs_picks: stats.adaptive_cs_picks,
-                    mean_estimate_error: stats.mean_estimate_error(),
-                })
-            };
-        let outcome = run_plan_values(
-            exec,
-            runner,
-            &plan,
-            "mechanism",
-            &Self::codec(),
-            &fold,
-            &|_, _| Ok(()),
-        )?;
-        let Some(outcome_values) = outcome.values else {
-            return Ok(None);
-        };
-        let timing = iso_timing.merged(outcome.timing);
-
-        let mut values = outcome_values.into_iter();
+    fn aggregate(self, metrics: Vec<Metrics>) -> Result<MechanismResults, SimError> {
         let mut records = Vec::new();
-        for (size, workload) in &workloads {
+        let per_workload = metrics.chunks(MechanismConfig::all().len());
+        for ((size, workload), per_cfg) in self.population.workloads.into_iter().zip(per_workload) {
             let mut outcomes = HashMap::new();
-            for cfg in MechanismConfig::all() {
-                let outcome = values.next().expect("one outcome per scenario");
+            for (cfg, m) in MechanismConfig::all().into_iter().zip(per_cfg) {
+                let count = |name: &str| m.get(name).map(|v| v as u64);
+                let outcome = MechanismOutcome {
+                    antt: m.get("antt")?,
+                    stp: m.get("stp")?,
+                    fairness: m.get("fairness")?,
+                    preemptions: count("preemptions")?,
+                    preemptions_completed: count("preemptions_completed")?,
+                    mean_preemption_latency: SimTime::from_nanos(count(
+                        "mean_preemption_latency_ns",
+                    )?),
+                    drain_picks: count("drain_picks")?,
+                    cs_picks: count("cs_picks")?,
+                    mean_estimate_error: SimTime::from_nanos(count("mean_estimate_error_ns")?),
+                };
                 outcomes.insert(cfg, outcome);
             }
             records.push(MechanismRecord {
                 workload: workload.name().to_string(),
-                size: *size,
+                size,
                 outcomes,
             });
         }
-
-        Ok(Some(MechanismResults {
+        Ok(MechanismResults {
             records,
-            sizes: scale.workload_sizes.clone(),
-            seed: scale.seed,
-            timing,
-        }))
+            sizes: self.population.sizes,
+            seed: self.population.seed,
+        })
     }
+}
 
-    /// Checkpoint codec for one outcome: metrics as exact floats, counters
-    /// as exact integers, latencies as exact nanoseconds.
-    fn codec() -> ValueCodec<MechanismOutcome> {
-        fn encode(o: &MechanismOutcome) -> Value {
-            Value::object([
-                ("antt", enc_f64(o.antt)),
-                ("stp", enc_f64(o.stp)),
-                ("fairness", enc_f64(o.fairness)),
-                ("preemptions", enc_u64(o.preemptions)),
-                ("preemptions_completed", enc_u64(o.preemptions_completed)),
-                (
-                    "mean_preemption_latency_ns",
-                    enc_time(o.mean_preemption_latency),
-                ),
-                ("drain_picks", enc_u64(o.drain_picks)),
-                ("cs_picks", enc_u64(o.cs_picks)),
-                ("mean_estimate_error_ns", enc_time(o.mean_estimate_error)),
-            ])
-        }
-        fn decode(v: &Value) -> Result<MechanismOutcome, SimError> {
-            Ok(MechanismOutcome {
-                antt: dec_f64(field(v, "antt")?)?,
-                stp: dec_f64(field(v, "stp")?)?,
-                fairness: dec_f64(field(v, "fairness")?)?,
-                preemptions: dec_u64(field(v, "preemptions")?)?,
-                preemptions_completed: dec_u64(field(v, "preemptions_completed")?)?,
-                mean_preemption_latency: dec_time(field(v, "mean_preemption_latency_ns")?)?,
-                drain_picks: dec_u64(field(v, "drain_picks")?)?,
-                cs_picks: dec_u64(field(v, "cs_picks")?)?,
-                mean_estimate_error: dec_time(field(v, "mean_estimate_error_ns")?)?,
-            })
-        }
-        ValueCodec { encode, decode }
-    }
-
+impl MechanismResults {
     /// The per-workload records.
     pub fn records(&self) -> &[MechanismRecord] {
         &self.records
@@ -328,12 +235,6 @@ impl MechanismResults {
     /// The workload sizes evaluated.
     pub fn sizes(&self) -> &[usize] {
         &self.sizes
-    }
-
-    /// Wall-clock timing of the underlying sweep (isolated phase + main
-    /// phase).
-    pub fn timing(&self) -> &SweepTiming {
-        &self.timing
     }
 
     /// The machine-readable report: one record per workload × selection

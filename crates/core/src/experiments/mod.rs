@@ -10,21 +10,30 @@
 //! | Figure 8 | [`SpatialResults::render_fig8`] | ANTT distribution across workloads |
 //! | (extension) | [`MechanismResults`] | fixed vs adaptive mechanism selection under DSS |
 //!
-//! All harnesses take an [`ExperimentScale`]: `quick()` for smoke runs,
-//! `bench()` for the default `cargo bench` harness and `paper()` for the
-//! full evaluation population.
+//! Every sweep is one [`Experiment`] impl — [`Fig2Sweep`],
+//! [`PrioritySweep`], [`SpatialSweep`], [`MechanismSweep`],
+//! [`RealtimeSweep`] and [`SaturationSweep`] — and runs one way: through
+//! the generic driver [`run`] under a [`SweepCtx`], which carries the
+//! [`ExperimentScale`] (`quick()` for smoke runs, `bench()` for the default
+//! `cargo bench` harness, `paper()` for the full evaluation population),
+//! the worker count, the shared [`IsolatedRunCache`] and the full / shard /
+//! merge execution mode. Results are bit-identical for every worker count.
+//! [`run_suite`] walks all six in report order, as `run_sweep` does.
 //!
-//! Since the sweep refactor, no harness loops over simulations itself:
-//! each one enumerates its population into a
-//! [`SweepPlan`](crate::sweep::SweepPlan) and executes it on a
-//! [`SweepRunner`](crate::sweep::SweepRunner) — `run()` uses a single
-//! worker (bit-identical to the historical sequential loops), `run_with()`
-//! accepts a multi-worker runner and still produces bit-identical results.
-//! Every harness also exposes `report()`, the machine-readable
-//! [`SweepReport`](crate::sweep::SweepReport), and `timing()`, the
-//! per-scenario wall-clock breakdown.
+//! ```no_run
+//! use gpreempt::experiments::{self, ExperimentScale, SpatialSweep, SweepCtx};
+//! use gpreempt::SimulatorConfig;
+//!
+//! let mut ctx = SweepCtx::new(SimulatorConfig::default(), ExperimentScale::quick(), 0);
+//! let (results, timing) = experiments::run::<SpatialSweep>(&mut ctx)?
+//!     .expect("a full run aggregates");
+//! println!("{}", results.render_fig8().render());
+//! println!("{}", timing.summary());
+//! # Ok::<(), gpreempt::types::SimError>(())
+//! ```
 
 pub mod common;
+mod driver;
 pub mod fig2;
 pub mod mechanism;
 pub mod priority;
@@ -33,30 +42,41 @@ pub mod saturation;
 pub mod spatial;
 pub mod table1;
 
-pub use common::{
-    ci95, config_fingerprint, isolated_times_via, isolated_times_with_cache,
-    simulator_with_mechanism, ExperimentScale, IsolatedRunCache, IsolatedTimes,
+pub use common::{ci95, config_fingerprint, ExperimentScale, IsolatedRunCache, IsolatedTimes};
+pub(crate) use driver::schema_fingerprint;
+pub use driver::{experiment_names, run, run_suite, Experiment, SuiteOutput, SweepCtx};
+pub use fig2::{Fig2Results, Fig2Sweep, Fig2Timeline};
+pub use mechanism::{
+    MechanismConfig, MechanismOutcome, MechanismRecord, MechanismResults, MechanismSweep,
 };
-pub use fig2::{Fig2Results, Fig2Timeline};
-pub use mechanism::{MechanismConfig, MechanismOutcome, MechanismRecord, MechanismResults};
-pub use priority::{PriorityConfig, PriorityOutcome, PriorityRecord, PriorityResults};
+pub use priority::{
+    PriorityConfig, PriorityOutcome, PriorityRecord, PriorityResults, PrioritySweep,
+};
 pub use realtime::{
-    LatencyTarget, RealtimeCell, RealtimeCellKey, RealtimePoint, RealtimeResults,
+    LatencyTarget, RealtimeCell, RealtimeCellKey, RealtimeResults, RealtimeSweep,
     LATENCY_TARGETS_US, N_SEEDS, REALTIME_POLICIES, UTILIZATIONS,
 };
 pub use saturation::{
-    ArrivalFamily, SaturationCell, SaturationCellKey, SaturationPoint, SaturationResults,
+    ArrivalFamily, SaturationCell, SaturationCellKey, SaturationResults, SaturationSweep,
     SATURATION_ARRIVALS, SATURATION_BACKLOG_CAP, SATURATION_MECHANISMS, SATURATION_POLICIES,
     SATURATION_RHOS,
 };
-pub use spatial::{SpatialConfig, SpatialOutcome, SpatialRecord, SpatialResults};
+pub use spatial::{SpatialConfig, SpatialOutcome, SpatialRecord, SpatialResults, SpatialSweep};
 pub use table1::{Table1, Table1Row};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimulatorConfig;
+    use crate::sweep::SweepTiming;
     use gpreempt_types::KernelClass;
+
+    /// Runs one experiment in full mode on one worker.
+    fn full<E: Experiment + Default>(scale: ExperimentScale) -> (E::Results, SweepTiming) {
+        run::<E>(&mut SweepCtx::new(SimulatorConfig::default(), scale, 1))
+            .unwrap()
+            .expect("a full run aggregates")
+    }
 
     fn tiny_scale() -> ExperimentScale {
         // Keep debug-mode test time low: two small benchmarks, 2-process
@@ -86,7 +106,7 @@ mod tests {
 
     #[test]
     fn fig2_orders_the_schedulers_as_the_paper_argues() {
-        let results = Fig2Results::run(&SimulatorConfig::default()).unwrap();
+        let (results, _) = full::<Fig2Sweep>(tiny_scale());
         assert_eq!(results.timelines.len(), 3);
         let fcfs = results.timeline(crate::PolicyKind::Fcfs).unwrap();
         let npq = results.timeline(crate::PolicyKind::Npq).unwrap();
@@ -104,9 +124,7 @@ mod tests {
 
     #[test]
     fn priority_experiment_shows_preemption_benefit() {
-        let config = SimulatorConfig::default();
-        let scale = tiny_scale();
-        let results = PriorityResults::run(&config, &scale).unwrap();
+        let (results, _) = full::<PrioritySweep>(tiny_scale());
         assert_eq!(results.records().len(), 3); // one workload per benchmark
         for record in results.records() {
             // Preemptive prioritisation should never be (much) worse than
@@ -128,9 +146,7 @@ mod tests {
 
     #[test]
     fn spatial_experiment_produces_all_views() {
-        let config = SimulatorConfig::default();
-        let scale = tiny_scale();
-        let results = SpatialResults::run(&config, &scale).unwrap();
+        let (results, _) = full::<SpatialSweep>(tiny_scale());
         assert_eq!(results.records().len(), 2);
         for record in results.records() {
             assert_eq!(record.outcomes.len(), SpatialConfig::all().len());
@@ -156,9 +172,7 @@ mod tests {
 
     #[test]
     fn mechanism_ablation_covers_all_selections_and_meets_latency_bound() {
-        let config = SimulatorConfig::default();
-        let scale = tiny_scale();
-        let results = MechanismResults::run(&config, &scale).unwrap();
+        let (results, _) = full::<MechanismSweep>(tiny_scale());
         assert_eq!(results.records().len(), 2);
         for record in results.records() {
             assert_eq!(record.outcomes.len(), MechanismConfig::all().len());
@@ -200,10 +214,9 @@ mod tests {
 
     #[test]
     fn realtime_experiment_reports_cells_with_confidence_intervals() {
-        let config = SimulatorConfig::default();
         let mut scale = tiny_scale();
         scale.workload_sizes = vec![2];
-        let results = RealtimeResults::run(&config, &scale).unwrap();
+        let (results, timing) = full::<RealtimeSweep>(scale);
         // 1 size x 2 utilizations x 3 policies x 2 latency targets.
         assert_eq!(
             results.cells().len(),
@@ -214,7 +227,7 @@ mod tests {
             let (miss, ci) = cell.miss_rate();
             assert!((0.0..=1.0).contains(&miss), "miss rate {miss}");
             assert!(ci >= 0.0);
-            assert!(cell.points.iter().all(|p| p.completed > 0));
+            assert!(cell.points.iter().all(|p| p.value("completed") > Some(0.0)));
             // PPQ never preempts an all-equal-priority workload; the
             // deadline-aware policies do.
             if cell.key.policy == crate::PolicyKind::PpqExclusive {
@@ -232,7 +245,7 @@ mod tests {
         assert_eq!(results.report().len(), results.cells().len());
         assert!(!results.render().is_empty());
         assert_eq!(results.sizes(), &[2]);
-        assert!(results.timing().entries.len() > results.cells().len());
+        assert!(timing.entries.len() > results.cells().len());
     }
 
     #[test]

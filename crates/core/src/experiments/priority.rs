@@ -7,19 +7,15 @@
 //! scheduler (NPQ) and the preemptive priority scheduler (PPQ) with both
 //! preemption mechanisms and both access modes.
 
-use crate::config::{PolicyKind, SimulatorConfig};
-use crate::experiments::common::{
-    isolated_times_with_cache, mean_of, ExperimentScale, IsolatedRunCache,
-};
-use crate::json::Value;
+use crate::config::PolicyKind;
+use crate::experiments::common::{mean_of, Population};
+use crate::experiments::{Experiment, SweepCtx};
 use crate::report::{times, TextTable};
 use crate::simulator::SimulationRun;
-use crate::sweep::shard::{dec_f64, enc_f64, field, run_plan_values};
-use crate::sweep::{
-    Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming, ValueCodec,
-};
+use crate::sweep::{Metrics, Scenario, SweepPlan, SweepRecord, SweepReport};
 use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
-use gpreempt_types::{KernelClass, SimError, SimTime};
+use gpreempt_trace::Workload;
+use gpreempt_types::{KernelClass, SimError};
 use std::collections::HashMap;
 
 /// One scheduler configuration evaluated by the prioritisation experiment.
@@ -148,134 +144,63 @@ pub struct PriorityResults {
     records: Vec<PriorityRecord>,
     sizes: Vec<usize>,
     seed: u64,
-    timing: SweepTiming,
 }
 
-impl PriorityResults {
-    /// Runs the experiment at the given scale on a single worker (the
-    /// historical sequential behaviour).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run(config: &SimulatorConfig, scale: &ExperimentScale) -> Result<Self, SimError> {
-        Self::run_with(config, scale, &SweepRunner::sequential())
-    }
+/// The prioritisation sweep: every prioritised workload of every size under
+/// each [`PriorityConfig`], folded into the high-priority NTT and the
+/// workload STP.
+#[derive(Debug, Default)]
+pub struct PrioritySweep {
+    population: Population,
+}
 
-    /// Runs the experiment at the given scale on `runner`'s workers.
-    /// Results are bit-identical for every worker count: the workload
-    /// population is enumerated sequentially into a [`SweepPlan`] and every
-    /// scenario simulates from its own fresh engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-    ) -> Result<Self, SimError> {
-        Self::run_with_cache(config, scale, runner, &IsolatedRunCache::new())
-    }
+/// Index of a prioritised workload's high-priority process.
+fn high_priority_index(workload: &Workload) -> usize {
+    workload
+        .high_priority_process()
+        .expect("prioritized workloads have a high-priority process")
+        .index()
+}
 
-    /// [`run_with`](Self::run_with) backed by a shared [`IsolatedRunCache`]
-    /// and a streaming main sweep: each [`SimulationRun`] is folded into its
-    /// [`PriorityOutcome`] on the worker and dropped, so memory stays
-    /// O(scenarios).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with_cache(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-    ) -> Result<Self, SimError> {
-        Ok(
-            Self::run_exec(config, scale, runner, cache, &SweepExec::Full)?
-                .expect("full run yields results"),
-        )
-    }
+impl Experiment for PrioritySweep {
+    const NAME: &'static str = "priority";
+    const SCHEMA: &'static str = "ntt_high_priority,stp";
+    type Results = PriorityResults;
 
-    /// [`run_with_cache`](Self::run_with_cache) under an explicit execution
-    /// mode. The isolated-time phase runs in every mode (it is cheap,
-    /// cached, and its results are part of the fold's closure); only the
-    /// main workload × configuration sweep is sharded or replayed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, checkpoint and decode errors.
-    pub fn run_exec(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        exec: &SweepExec<'_>,
-    ) -> Result<Option<Self>, SimError> {
-        let mut generator = scale.generator(config);
-        let mut workloads = Vec::new();
-        for &size in &scale.workload_sizes {
-            for workload in generator.prioritized_population(size, scale.reps_per_benchmark) {
-                workloads.push((size, scale.finalize(workload)));
-            }
-        }
-
-        let (isolated, iso_timing) =
-            isolated_times_with_cache(runner, config, workloads.iter().map(|(_, w)| w), cache)?;
-        let iso_per_workload: Vec<Vec<SimTime>> = workloads
-            .iter()
-            .map(|(_, w)| isolated.times_for(w))
-            .collect::<Result<_, _>>()?;
-        let hp_indices: Vec<usize> = workloads
-            .iter()
-            .map(|(_, w)| {
-                w.high_priority_process()
-                    .expect("prioritized workloads have a high-priority process")
-                    .index()
-            })
-            .collect();
-
-        let mut plan = SweepPlan::new(config.clone()).with_seed(scale.seed);
-        for (_, workload) in &workloads {
-            for cfg in PriorityConfig::all() {
+    fn plan(&mut self, ctx: &mut SweepCtx<'_>) -> Result<SweepPlan, SimError> {
+        let reps = ctx.scale.reps_per_benchmark;
+        self.population = Population::draw(ctx, |generator, size| {
+            generator.prioritized_population(size, reps)
+        })?;
+        Ok(self.population.plan(&ctx.config, |workload| {
+            PriorityConfig::all().map(|cfg| {
                 let (policy, mechanism) = cfg.policy_and_mechanism();
-                plan.push(
-                    Scenario::new("priority", cfg.label(), workload.clone(), policy)
-                        .with_selection(MechanismSelection::Fixed(mechanism)),
-                );
-            }
-        }
-        let n_cfg = PriorityConfig::all().len();
-        let fold = |scenario: &Scenario, run: SimulationRun| -> Result<PriorityOutcome, SimError> {
-            let w_idx = scenario.id / n_cfg;
-            let metrics = run.metrics(&iso_per_workload[w_idx])?;
-            Ok(PriorityOutcome {
-                ntt_high_priority: metrics.ntt()[hp_indices[w_idx]],
-                stp: metrics.stp(),
+                Scenario::new("priority", cfg.label(), workload.clone(), policy)
+                    .with_selection(MechanismSelection::Fixed(mechanism))
             })
-        };
-        let outcome = run_plan_values(
-            exec,
-            runner,
-            &plan,
-            "priority",
-            &Self::codec(),
-            &fold,
-            &|_, _| Ok(()),
-        )?;
-        let Some(outcome_values) = outcome.values else {
-            return Ok(None);
-        };
-        let timing = iso_timing.merged(outcome.timing);
+        }))
+    }
 
-        let mut values = outcome_values.into_iter();
+    fn fold(&self, scenario: &Scenario, run: &SimulationRun) -> Result<Metrics, SimError> {
+        let isolated = &self.population.isolated[scenario.id / PriorityConfig::all().len()];
+        let metrics = run.metrics(isolated)?;
+        let ntt_high_priority = metrics.ntt()[high_priority_index(&scenario.workload)];
+        Ok(Metrics::default()
+            .with_value("ntt_high_priority", ntt_high_priority)
+            .with_value("stp", metrics.stp()))
+    }
+
+    fn aggregate(self, metrics: Vec<Metrics>) -> Result<PriorityResults, SimError> {
         let mut records = Vec::new();
-        for ((size, workload), &hp_index) in workloads.iter().zip(&hp_indices) {
-            let hp_spec = &workload.processes()[hp_index];
+        let per_workload = metrics.chunks(PriorityConfig::all().len());
+        for ((size, workload), per_cfg) in self.population.workloads.iter().zip(per_workload) {
+            let hp_spec = &workload.processes()[high_priority_index(workload)];
             let mut outcomes = HashMap::new();
-            for cfg in PriorityConfig::all() {
-                let outcome = values.next().expect("one outcome per scenario");
+            for (cfg, m) in PriorityConfig::all().into_iter().zip(per_cfg) {
+                let outcome = PriorityOutcome {
+                    ntt_high_priority: m.get("ntt_high_priority")?,
+                    stp: m.get("stp")?,
+                };
                 outcomes.insert(cfg, outcome);
             }
             records.push(PriorityRecord {
@@ -286,33 +211,15 @@ impl PriorityResults {
                 outcomes,
             });
         }
-
-        Ok(Some(PriorityResults {
+        Ok(PriorityResults {
             records,
-            sizes: scale.workload_sizes.clone(),
-            seed: scale.seed,
-            timing,
-        }))
+            sizes: self.population.sizes,
+            seed: self.population.seed,
+        })
     }
+}
 
-    /// Checkpoint codec for one outcome (a starved high-priority NTT can be
-    /// ∞, which [`enc_f64`] preserves through the round trip).
-    fn codec() -> ValueCodec<PriorityOutcome> {
-        fn encode(o: &PriorityOutcome) -> Value {
-            Value::object([
-                ("ntt_high_priority", enc_f64(o.ntt_high_priority)),
-                ("stp", enc_f64(o.stp)),
-            ])
-        }
-        fn decode(v: &Value) -> Result<PriorityOutcome, SimError> {
-            Ok(PriorityOutcome {
-                ntt_high_priority: dec_f64(field(v, "ntt_high_priority")?)?,
-                stp: dec_f64(field(v, "stp")?)?,
-            })
-        }
-        ValueCodec { encode, decode }
-    }
-
+impl PriorityResults {
     /// The per-workload records.
     pub fn records(&self) -> &[PriorityRecord] {
         &self.records
@@ -321,12 +228,6 @@ impl PriorityResults {
     /// The workload sizes evaluated.
     pub fn sizes(&self) -> &[usize] {
         &self.sizes
-    }
-
-    /// Wall-clock timing of the underlying sweep (isolated phase + main
-    /// phase).
-    pub fn timing(&self) -> &SweepTiming {
-        &self.timing
     }
 
     /// The machine-readable report: one record per workload ×

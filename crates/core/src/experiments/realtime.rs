@@ -22,18 +22,12 @@
 //! ([`SweepPlan::assign_derived_seeds`]) and reported as mean ± half-width
 //! of the 95 % confidence interval.
 
-use crate::config::{PolicyKind, SimulatorConfig};
-use crate::experiments::common::{
-    ci95, isolated_times_with_cache, ExperimentScale, IsolatedRunCache,
-};
-use crate::json::Value;
+use crate::config::PolicyKind;
+use crate::experiments::common::replicate_stat;
+use crate::experiments::{Experiment, SweepCtx};
 use crate::report::TextTable;
 use crate::simulator::SimulationRun;
-use crate::sweep::shard::{dec_f64, dec_u64, enc_f64, enc_u64, field, run_plan_values};
-use crate::sweep::{
-    JsonlSink, Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming,
-    ValueCodec,
-};
+use crate::sweep::{Metrics, Scenario, SweepPlan, SweepRecord, SweepReport};
 use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
 use gpreempt_sim::stats;
 use gpreempt_trace::{ProcessSpec, Workload};
@@ -90,68 +84,39 @@ pub struct RealtimeCellKey {
     pub target: LatencyTarget,
 }
 
-/// The outcome of one scenario (one seed of one cell).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RealtimePoint {
-    /// Workload-level deadline-miss rate.
-    pub miss_rate: f64,
-    /// Mean response time over every completed execution, in µs.
-    pub mean_response_us: f64,
-    /// Largest overshoot past any deadline, in µs.
-    pub max_tardiness_us: f64,
-    /// Completed executions.
-    pub completed: u64,
-    /// Missed executions (including synthetic misses of starved processes).
-    pub missed: u64,
-    /// Preemptions the policy requested.
-    pub preemptions: u64,
-    /// Mean preemption latency, in µs.
-    pub mean_preempt_latency_us: f64,
-}
-
 /// One cell of the sweep: a [`RealtimeCellKey`] plus statistics over its
 /// seed replicates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RealtimeCell {
     /// The cell identity.
     pub key: RealtimeCellKey,
-    /// Per-seed outcomes, in replicate order.
-    pub points: Vec<RealtimePoint>,
+    /// Per-seed fold records ([`RealtimeSweep::SCHEMA`]), in replicate
+    /// order.
+    pub points: Vec<Metrics>,
 }
 
 impl RealtimeCell {
-    fn stat(&self, f: impl Fn(&RealtimePoint) -> f64) -> (f64, f64) {
-        let values: Vec<f64> = self.points.iter().map(f).collect();
-        (stats::mean(&values), ci95(&values))
-    }
-
     /// Mean and 95 % CI half-width of the deadline-miss rate.
     pub fn miss_rate(&self) -> (f64, f64) {
-        self.stat(|p| p.miss_rate)
+        replicate_stat(&self.points, "miss_rate")
     }
 
     /// Mean and CI of the mean response time (µs).
     pub fn mean_response_us(&self) -> (f64, f64) {
-        self.stat(|p| p.mean_response_us)
+        replicate_stat(&self.points, "mean_response_us")
     }
 
     /// The worst tardiness across every replicate (µs).
     pub fn max_tardiness_us(&self) -> f64 {
         self.points
             .iter()
-            .map(|p| p.max_tardiness_us)
+            .filter_map(|p| p.value("max_tardiness_us"))
             .fold(0.0, f64::max)
     }
 
     /// Mean preemption count across replicates.
     pub fn mean_preemptions(&self) -> f64 {
-        stats::mean(
-            &self
-                .points
-                .iter()
-                .map(|p| p.preemptions as f64)
-                .collect::<Vec<_>>(),
-        )
+        replicate_stat(&self.points, "preemptions").0
     }
 }
 
@@ -161,101 +126,46 @@ pub struct RealtimeResults {
     cells: Vec<RealtimeCell>,
     sizes: Vec<usize>,
     seed: u64,
-    timing: SweepTiming,
 }
 
-impl RealtimeResults {
-    /// Runs the experiment at the given scale on a single worker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run(config: &SimulatorConfig, scale: &ExperimentScale) -> Result<Self, SimError> {
-        Self::run_with(config, scale, &SweepRunner::sequential())
-    }
+/// The real-time sweep: one benchmark mix per workload size, annotated with
+/// implicit deadlines per utilization and run under every policy × latency
+/// target × seed replicate; each run is folded into its deadline-miss,
+/// response-time and preemption metrics. Its records spill to `--out` per
+/// scenario.
+#[derive(Debug, Default)]
+pub struct RealtimeSweep {
+    /// One key per cell, in enumeration order; each cell owns [`N_SEEDS`]
+    /// consecutive scenarios.
+    cell_keys: Vec<RealtimeCellKey>,
+    sizes: Vec<usize>,
+    seed: u64,
+}
 
-    /// Runs the experiment on `runner`'s workers; results are bit-identical
-    /// for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-    ) -> Result<Self, SimError> {
-        Self::run_streaming(config, scale, runner, &IsolatedRunCache::new(), None)
-    }
+impl Experiment for RealtimeSweep {
+    const NAME: &'static str = "realtime";
+    const SCHEMA: &'static str = "miss_rate,mean_response_us,max_tardiness_us,completed,missed,\
+        preemptions,mean_preempt_latency_us";
+    type Results = RealtimeResults;
 
-    /// [`run_with`](Self::run_with) backed by a shared [`IsolatedRunCache`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with_cache(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-    ) -> Result<Self, SimError> {
-        Self::run_streaming(config, scale, runner, cache, None)
-    }
-
-    /// The full streaming form: isolated times come from (and feed) the
-    /// shared `cache`, the main sweep folds each run into a
-    /// [`RealtimePoint`] on its worker, and — when `sink` is given — every
-    /// scenario's record is appended to the JSONL sink the moment it
-    /// completes, in completion order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation or sink I/O error.
-    pub fn run_streaming(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        sink: Option<&JsonlSink>,
-    ) -> Result<Self, SimError> {
-        Ok(
-            Self::run_exec(config, scale, runner, cache, sink, &SweepExec::Full)?
-                .expect("full run yields results"),
-        )
-    }
-
-    /// [`run_streaming`](Self::run_streaming) under an explicit execution
-    /// mode: a shard run checkpoints points (the sink tap is skipped — the
-    /// checkpoint is the shard's only output) and returns `None`; a merge
-    /// decodes the points, replays the sink tap in scenario-id order, and
-    /// aggregates exactly like a full run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, sink I/O, checkpoint and decode errors.
-    pub fn run_exec(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        sink: Option<&JsonlSink>,
-        exec: &SweepExec<'_>,
-    ) -> Result<Option<Self>, SimError> {
+    fn plan(&mut self, ctx: &mut SweepCtx<'_>) -> Result<SweepPlan, SimError> {
         // One benchmark mix per workload size (drawn once, shared by every
         // utilization level so the axes stay orthogonal).
-        let mut generator = scale.generator(config);
-        let mixes: Vec<(usize, Workload)> = scale
+        let mut generator = ctx.scale.generator(&ctx.config);
+        let mixes: Vec<(usize, Workload)> = ctx
+            .scale
             .workload_sizes
             .iter()
             .map(|&size| (size, generator.random_workload(size)))
             .collect();
+        self.sizes = ctx.scale.workload_sizes.clone();
+        self.seed = ctx.scale.seed;
+        let min_completions = ctx.scale.min_completions.max(3);
 
-        let (isolated, iso_timing) =
-            isolated_times_with_cache(runner, config, mixes.iter().map(|(_, w)| w), cache)?;
+        let isolated = ctx.isolated_times(mixes.iter().map(|(_, w)| w))?;
 
         // Deadline-annotated workloads: deadline_i = iso_i * size / u.
-        let mut cell_keys: Vec<RealtimeCellKey> = Vec::new();
-        let mut plan = SweepPlan::new(config.clone()).with_seed(scale.seed);
+        let mut plan = SweepPlan::new(ctx.config.clone()).with_seed(self.seed);
         for (size, mix) in &mixes {
             let iso = isolated.times_for(mix)?;
             for &utilization in &UTILIZATIONS {
@@ -270,17 +180,10 @@ impl RealtimeResults {
                     })
                     .collect();
                 let workload = Workload::new(format!("rt-{size}p-u{utilization:.2}"), processes)
-                    .with_min_completions(scale.min_completions.max(3));
+                    .with_min_completions(min_completions);
                 for &policy in &REALTIME_POLICIES {
                     for &target_us in &LATENCY_TARGETS_US {
                         let target = LatencyTarget(target_us);
-                        let key = RealtimeCellKey {
-                            workload: workload.name().to_string(),
-                            size: *size,
-                            utilization,
-                            policy,
-                            target,
-                        };
                         for replicate in 0..N_SEEDS {
                             plan.push(
                                 Scenario::new(
@@ -292,7 +195,13 @@ impl RealtimeResults {
                                 .with_selection(target.selection()),
                             );
                         }
-                        cell_keys.push(key);
+                        self.cell_keys.push(RealtimeCellKey {
+                            workload: workload.name().to_string(),
+                            size: *size,
+                            utilization,
+                            policy,
+                            target,
+                        });
                     }
                 }
             }
@@ -300,86 +209,44 @@ impl RealtimeResults {
         // N-seed replication: every scenario gets its own engine-RNG stream
         // derived from the plan seed and its id.
         plan.assign_derived_seeds();
+        Ok(plan)
+    }
 
-        let fold = |scenario: &Scenario, run: SimulationRun| -> Result<RealtimePoint, SimError> {
-            let rt = run.rt_metrics(&scenario.workload);
-            let stats = run.engine_stats();
-            Ok(RealtimePoint {
-                miss_rate: rt.miss_rate(),
-                mean_response_us: rt.mean_response().as_micros_f64(),
-                max_tardiness_us: rt.max_tardiness().as_micros_f64(),
-                completed: rt.completed(),
-                missed: rt.missed(),
-                preemptions: stats.preemptions,
-                mean_preempt_latency_us: stats.mean_preemption_latency().as_micros_f64(),
-            })
-        };
-        let tap = |scenario: &Scenario, point: &RealtimePoint| -> Result<(), SimError> {
-            let Some(sink) = sink else { return Ok(()) };
-            sink.append(&point_record(
-                scenario.workload.name(),
-                &scenario.label,
-                scenario.size(),
-                point,
+    fn fold(&self, scenario: &Scenario, run: &SimulationRun) -> Result<Metrics, SimError> {
+        let rt = run.rt_metrics(&scenario.workload);
+        let stats = run.engine_stats();
+        Ok(Metrics::default()
+            .with_value("miss_rate", rt.miss_rate())
+            .with_value("mean_response_us", rt.mean_response().as_micros_f64())
+            .with_value("max_tardiness_us", rt.max_tardiness().as_micros_f64())
+            .with_value("completed", rt.completed() as f64)
+            .with_value("missed", rt.missed() as f64)
+            .with_value("preemptions", stats.preemptions as f64)
+            .with_value(
+                "mean_preempt_latency_us",
+                stats.mean_preemption_latency().as_micros_f64(),
             ))
-        };
-        let outcome =
-            run_plan_values(exec, runner, &plan, "realtime", &Self::codec(), &fold, &tap)?;
-        let Some(values) = outcome.values else {
-            return Ok(None);
-        };
-        let timing = iso_timing.merged(outcome.timing);
+    }
 
-        let mut points = values.into_iter();
-        let cells = cell_keys
+    fn aggregate(self, metrics: Vec<Metrics>) -> Result<RealtimeResults, SimError> {
+        let cells = self
+            .cell_keys
             .into_iter()
-            .map(|key| RealtimeCell {
+            .zip(metrics.chunks(N_SEEDS))
+            .map(|(key, points)| RealtimeCell {
                 key,
-                points: (0..N_SEEDS)
-                    .map(|_| points.next().expect("one point per scenario"))
-                    .collect(),
+                points: points.to_vec(),
             })
             .collect();
-
-        Ok(Some(RealtimeResults {
+        Ok(RealtimeResults {
             cells,
-            sizes: scale.workload_sizes.clone(),
-            seed: scale.seed,
-            timing,
-        }))
+            sizes: self.sizes,
+            seed: self.seed,
+        })
     }
+}
 
-    /// Checkpoint codec for one point: rates and µs metrics as exact
-    /// floats, counters as exact integers.
-    fn codec() -> ValueCodec<RealtimePoint> {
-        fn encode(p: &RealtimePoint) -> Value {
-            Value::object([
-                ("miss_rate", enc_f64(p.miss_rate)),
-                ("mean_response_us", enc_f64(p.mean_response_us)),
-                ("max_tardiness_us", enc_f64(p.max_tardiness_us)),
-                ("completed", enc_u64(p.completed)),
-                ("missed", enc_u64(p.missed)),
-                ("preemptions", enc_u64(p.preemptions)),
-                (
-                    "mean_preempt_latency_us",
-                    enc_f64(p.mean_preempt_latency_us),
-                ),
-            ])
-        }
-        fn decode(v: &Value) -> Result<RealtimePoint, SimError> {
-            Ok(RealtimePoint {
-                miss_rate: dec_f64(field(v, "miss_rate")?)?,
-                mean_response_us: dec_f64(field(v, "mean_response_us")?)?,
-                max_tardiness_us: dec_f64(field(v, "max_tardiness_us")?)?,
-                completed: dec_u64(field(v, "completed")?)?,
-                missed: dec_u64(field(v, "missed")?)?,
-                preemptions: dec_u64(field(v, "preemptions")?)?,
-                mean_preempt_latency_us: dec_f64(field(v, "mean_preempt_latency_us")?)?,
-            })
-        }
-        ValueCodec { encode, decode }
-    }
-
+impl RealtimeResults {
     /// The per-cell results, in enumeration order.
     pub fn cells(&self) -> &[RealtimeCell] {
         &self.cells
@@ -388,11 +255,6 @@ impl RealtimeResults {
     /// The workload sizes evaluated.
     pub fn sizes(&self) -> &[usize] {
         &self.sizes
-    }
-
-    /// Wall-clock timing of the underlying sweep (isolated + main phase).
-    pub fn timing(&self) -> &SweepTiming {
-        &self.timing
     }
 
     /// The cell for a (size, utilization, policy, target) combination.
@@ -498,17 +360,4 @@ impl RealtimeResults {
         }));
         table
     }
-}
-
-/// The per-scenario record streamed to the JSONL sink: one seed's raw
-/// outcome, identified by workload and scenario label.
-fn point_record(workload: &str, label: &str, size: usize, point: &RealtimePoint) -> SweepRecord {
-    SweepRecord::new("realtime", workload, label, size)
-        .with_value("miss_rate", point.miss_rate)
-        .with_value("mean_response_us", point.mean_response_us)
-        .with_value("max_tardiness_us", point.max_tardiness_us)
-        .with_value("completed", point.completed as f64)
-        .with_value("missed", point.missed as f64)
-        .with_value("preemptions", point.preemptions as f64)
-        .with_value("mean_preempt_latency_us", point.mean_preempt_latency_us)
 }

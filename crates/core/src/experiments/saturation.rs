@@ -21,18 +21,12 @@
 //! ([`SaturationResults::knee_rho`], detected per arrival family — burstier
 //! families knee earlier at the same mean load).
 
-use crate::config::{PolicyKind, SimulatorConfig};
-use crate::experiments::common::{
-    ci95, isolated_times_with_cache, ExperimentScale, IsolatedRunCache,
-};
-use crate::json::Value;
+use crate::config::PolicyKind;
+use crate::experiments::common::replicate_stat;
+use crate::experiments::{Experiment, SweepCtx};
 use crate::report::TextTable;
 use crate::simulator::SimulationRun;
-use crate::sweep::shard::{dec_f64, dec_u64, enc_f64, enc_u64, field, run_plan_values};
-use crate::sweep::{
-    JsonlSink, Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming,
-    ValueCodec,
-};
+use crate::sweep::{Metrics, Scenario, SweepPlan, SweepRecord, SweepReport};
 use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
 use gpreempt_sim::stats;
 use gpreempt_trace::{ProcessSpec, Workload};
@@ -140,76 +134,41 @@ pub struct SaturationCellKey {
     pub mechanism: PreemptionMechanism,
 }
 
-/// The outcome of one scenario (one seed of one cell).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SaturationPoint {
-    /// Requests released across the workload.
-    pub released: u64,
-    /// Requests shed at the admission gate.
-    pub shed: u64,
-    /// Requests completed.
-    pub completed: u64,
-    /// Workload-level shed rate in `[0, 1]`.
-    pub shed_rate: f64,
-    /// Pooled median response time (µs); NaN when nothing completed.
-    pub p50_us: f64,
-    /// Pooled p99 response time (µs).
-    pub p99_us: f64,
-    /// Pooled p99.9 response time (µs).
-    pub p999_us: f64,
-    /// Mean over processes of the time-weighted mean backlog depth.
-    pub mean_queue_depth: f64,
-    /// Deepest backlog any process reached.
-    pub max_queue_depth: u32,
-    /// Completed requests per second of simulated time.
-    pub throughput_per_sec: f64,
-    /// Preemptions the policy requested.
-    pub preemptions: u64,
-    /// Per-process queue-depth samples at the scale's `depth_trace`
-    /// interval; one (possibly empty) trace per process. Empty vectors
-    /// (tracing off) cost nothing and are omitted from JSONL records.
-    pub depth_traces: Vec<Vec<u32>>,
-}
-
 /// One cell of the sweep: a [`SaturationCellKey`] plus statistics over its
-/// seed replicates.
+/// seed replicates. Latency statistics are NaN when nothing completed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SaturationCell {
     /// The cell identity.
     pub key: SaturationCellKey,
-    /// Per-seed outcomes, in replicate order.
-    pub points: Vec<SaturationPoint>,
+    /// Per-seed fold records ([`SaturationSweep::SCHEMA`]), in replicate
+    /// order.
+    pub points: Vec<Metrics>,
 }
 
 impl SaturationCell {
-    fn stat(&self, f: impl Fn(&SaturationPoint) -> f64) -> (f64, f64) {
-        let values: Vec<f64> = self.points.iter().map(f).collect();
-        (stats::mean(&values), ci95(&values))
-    }
-
     /// Mean and 95 % CI half-width of the p99 response time (µs).
     pub fn p99_us(&self) -> (f64, f64) {
-        self.stat(|p| p.p99_us)
+        replicate_stat(&self.points, "p99_us")
     }
 
     /// Mean and CI of the median response time (µs).
     pub fn p50_us(&self) -> (f64, f64) {
-        self.stat(|p| p.p50_us)
+        replicate_stat(&self.points, "p50_us")
     }
 
     /// Mean and CI of the shed rate.
     pub fn shed_rate(&self) -> (f64, f64) {
-        self.stat(|p| p.shed_rate)
+        replicate_stat(&self.points, "shed_rate")
     }
 
     /// Mean and CI of the goodput (completions per second).
     pub fn throughput(&self) -> (f64, f64) {
-        self.stat(|p| p.throughput_per_sec)
+        replicate_stat(&self.points, "throughput_per_sec")
     }
 
     /// Mean time-weighted queue depth across replicates.
     pub fn mean_queue_depth(&self) -> f64 {
-        self.stat(|p| p.mean_queue_depth).0
+        replicate_stat(&self.points, "mean_queue_depth").0
     }
 }
 
@@ -218,77 +177,33 @@ impl SaturationCell {
 pub struct SaturationResults {
     cells: Vec<SaturationCell>,
     seed: u64,
-    timing: SweepTiming,
 }
 
-impl SaturationResults {
-    /// Runs the experiment at the given scale on a single worker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run(config: &SimulatorConfig, scale: &ExperimentScale) -> Result<Self, SimError> {
-        Self::run_with(config, scale, &SweepRunner::sequential())
-    }
+/// The saturation sweep: every `(size, ρ, arrival, policy, mechanism)` cell
+/// × [`N_SEEDS`] replicates, each run folded into its SLO metrics (request
+/// counts, shed rate, pooled response-time percentiles, queue depth,
+/// goodput, preemptions) plus, at the scale's `depth_trace` interval, one
+/// `depth_<process>` queue-depth series per process (empty traces —
+/// tracing off — are omitted). Its records spill to `--out` per scenario.
+#[derive(Debug, Default)]
+pub struct SaturationSweep {
+    /// One key per cell, in enumeration order; each cell owns [`N_SEEDS`]
+    /// consecutive scenarios.
+    cell_keys: Vec<SaturationCellKey>,
+    seed: u64,
+}
 
-    /// Runs the experiment on `runner`'s workers; results are bit-identical
-    /// for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-    ) -> Result<Self, SimError> {
-        Self::run_streaming(config, scale, runner, &IsolatedRunCache::new(), None)
-    }
+impl Experiment for SaturationSweep {
+    const NAME: &'static str = "saturation";
+    const SCHEMA: &'static str = "released,shed,completed,shed_rate,p50_us,p99_us,p999_us,\
+        mean_queue_depth,max_queue_depth,throughput_per_sec,preemptions | depth_*";
+    type Results = SaturationResults;
 
-    /// The full streaming form: isolated times come from (and feed) the
-    /// shared `cache`, every scenario is folded into a [`SaturationPoint`]
-    /// on its worker, and — when `sink` is given — each point is appended
-    /// to the JSONL sink the moment it completes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation or sink I/O error.
-    pub fn run_streaming(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        sink: Option<&JsonlSink>,
-    ) -> Result<Self, SimError> {
-        Ok(
-            Self::run_exec(config, scale, runner, cache, sink, &SweepExec::Full)?
-                .expect("full run yields results"),
-        )
-    }
-
-    /// [`run_streaming`](Self::run_streaming) under an explicit execution
-    /// mode. A shard run checkpoints each [`SaturationPoint`] and returns
-    /// `None` (the sink tap is skipped — the checkpoint is the shard's only
-    /// output); a merge decodes the points in scenario-id order, replays
-    /// the sink tap, and aggregates exactly like a full run. The isolated
-    /// probe runs in every mode: it is cheap, cached, and the arrival gaps
-    /// derive from it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, sink I/O, checkpoint and decode errors.
-    pub fn run_exec(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        sink: Option<&JsonlSink>,
-        exec: &SweepExec<'_>,
-    ) -> Result<Option<Self>, SimError> {
+    fn plan(&mut self, ctx: &mut SweepCtx<'_>) -> Result<SweepPlan, SimError> {
         // One service benchmark, replicated per process: the first of the
         // scale's pool (deterministic order). The arrival gaps are derived
         // from its isolated time, so measure that first.
-        let suite = scale.suite(config);
+        let suite = ctx.scale.suite(&ctx.config);
         let benchmark = suite
             .first()
             .ok_or_else(|| SimError::invalid_workload("saturation sweep needs a benchmark"))?;
@@ -296,13 +211,13 @@ impl SaturationResults {
             "saturation-probe",
             vec![ProcessSpec::new(benchmark.clone())],
         );
-        let (isolated, iso_timing) =
-            isolated_times_with_cache(runner, config, std::iter::once(&probe), cache)?;
-        let iso = isolated.times_for(&probe)?[0];
+        let iso = ctx
+            .isolated_times(std::iter::once(&probe))?
+            .times_for(&probe)?[0];
+        self.seed = ctx.scale.seed;
 
-        let mut cell_keys: Vec<SaturationCellKey> = Vec::new();
-        let mut plan = SweepPlan::new(config.clone()).with_seed(scale.seed);
-        for &size in &scale.workload_sizes {
+        let mut plan = SweepPlan::new(ctx.config.clone()).with_seed(self.seed);
+        for &size in &ctx.scale.workload_sizes {
             let horizon = iso.scale(HORIZON_ISO_FACTOR * size as f64);
             for &rho in &SATURATION_RHOS {
                 // Aggregate offered rate = size / gap; capacity ≈ 1 / iso.
@@ -322,19 +237,11 @@ impl SaturationResults {
                         processes,
                     )
                     .with_min_completions(u32::MAX);
-                    if let Some(interval) = scale.depth_trace {
+                    if let Some(interval) = ctx.scale.depth_trace {
                         workload = workload.with_depth_trace(interval);
                     }
                     for &policy in &SATURATION_POLICIES {
                         for &mechanism in &SATURATION_MECHANISMS {
-                            let key = SaturationCellKey {
-                                workload: workload.name().to_string(),
-                                size,
-                                rho,
-                                arrival,
-                                policy,
-                                mechanism,
-                            };
                             for replicate in 0..N_SEEDS {
                                 plan.push(
                                     Scenario::new(
@@ -347,7 +254,14 @@ impl SaturationResults {
                                     .with_horizon(horizon),
                                 );
                             }
-                            cell_keys.push(key);
+                            self.cell_keys.push(SaturationCellKey {
+                                workload: workload.name().to_string(),
+                                size,
+                                rho,
+                                arrival,
+                                policy,
+                                mechanism,
+                            });
                         }
                     }
                 }
@@ -355,161 +269,64 @@ impl SaturationResults {
         }
         // Independent arrival + jitter streams per replicate.
         plan.assign_derived_seeds();
+        Ok(plan)
+    }
 
-        let fold =
-            |_scenario: &Scenario, run: SimulationRun| -> Result<SaturationPoint, SimError> {
-                let slo = run.slo_metrics();
-                let per = slo.per_process();
-                let mean_queue_depth = stats::mean(
-                    &per.iter()
-                        .map(|p| p.counts.mean_queue_depth)
-                        .collect::<Vec<_>>(),
-                );
-                let max_queue_depth = per
-                    .iter()
-                    .map(|p| p.counts.max_queue_depth)
-                    .max()
-                    .unwrap_or(0);
-                Ok(SaturationPoint {
-                    released: slo.released(),
-                    shed: slo.shed(),
-                    completed: slo.completed(),
-                    shed_rate: slo.shed_rate(),
-                    p50_us: slo.p50_us(),
-                    p99_us: slo.p99_us(),
-                    p999_us: slo.p999_us(),
-                    mean_queue_depth,
-                    max_queue_depth,
-                    throughput_per_sec: slo.throughput_per_sec(),
-                    preemptions: run.engine_stats().preemptions,
-                    depth_traces: run
-                        .arrival_stats()
-                        .iter()
-                        .map(|s| s.depth_samples.clone())
-                        .collect(),
-                })
-            };
-        let tap = |scenario: &Scenario, point: &SaturationPoint| -> Result<(), SimError> {
-            let Some(sink) = sink else { return Ok(()) };
-            sink.append(&point_record(
-                scenario.workload.name(),
-                &scenario.label,
-                scenario.size(),
-                point,
-            ))
-        };
-        let outcome = run_plan_values(
-            exec,
-            runner,
-            &plan,
-            "saturation",
-            &Self::codec(),
-            &fold,
-            &tap,
-        )?;
-        let Some(values) = outcome.values else {
-            return Ok(None);
-        };
-        let timing = iso_timing.merged(outcome.timing);
+    fn fold(&self, _: &Scenario, run: &SimulationRun) -> Result<Metrics, SimError> {
+        let slo = run.slo_metrics();
+        let per = slo.per_process();
+        let mean_queue_depth = stats::mean(
+            &per.iter()
+                .map(|p| p.counts.mean_queue_depth)
+                .collect::<Vec<_>>(),
+        );
+        let max_queue_depth = per
+            .iter()
+            .map(|p| p.counts.max_queue_depth)
+            .max()
+            .unwrap_or(0);
+        let metrics = Metrics::default()
+            .with_value("released", slo.released() as f64)
+            .with_value("shed", slo.shed() as f64)
+            .with_value("completed", slo.completed() as f64)
+            .with_value("shed_rate", slo.shed_rate())
+            .with_value("p50_us", slo.p50_us())
+            .with_value("p99_us", slo.p99_us())
+            .with_value("p999_us", slo.p999_us())
+            .with_value("mean_queue_depth", mean_queue_depth)
+            .with_value("max_queue_depth", f64::from(max_queue_depth))
+            .with_value("throughput_per_sec", slo.throughput_per_sec())
+            .with_value("preemptions", run.engine_stats().preemptions as f64);
+        Ok(run
+            .arrival_stats()
+            .iter()
+            .enumerate()
+            .fold(metrics, |m, (i, s)| {
+                m.with_series(format!("depth_{i}"), s.depth_samples.clone())
+            }))
+    }
 
-        let mut points = values.into_iter();
-        let cells = cell_keys
+    fn aggregate(self, metrics: Vec<Metrics>) -> Result<SaturationResults, SimError> {
+        let cells = self
+            .cell_keys
             .into_iter()
-            .map(|key| SaturationCell {
+            .zip(metrics.chunks(N_SEEDS))
+            .map(|(key, points)| SaturationCell {
                 key,
-                points: (0..N_SEEDS)
-                    .map(|_| points.next().expect("one point per scenario"))
-                    .collect(),
+                points: points.to_vec(),
             })
             .collect();
-
-        Ok(Some(SaturationResults {
+        Ok(SaturationResults {
             cells,
-            seed: scale.seed,
-            timing,
-        }))
+            seed: self.seed,
+        })
     }
+}
 
-    /// Checkpoint codec for one [`SaturationPoint`]. Counters travel as
-    /// exact integers, SLO metrics as f64 (NaN — "nothing completed" — and
-    /// infinities survive the round trip), depth traces as arrays of
-    /// per-process sample arrays.
-    fn codec() -> ValueCodec<SaturationPoint> {
-        fn encode(p: &SaturationPoint) -> Value {
-            Value::object([
-                ("released", enc_u64(p.released)),
-                ("shed", enc_u64(p.shed)),
-                ("completed", enc_u64(p.completed)),
-                ("shed_rate", enc_f64(p.shed_rate)),
-                ("p50_us", enc_f64(p.p50_us)),
-                ("p99_us", enc_f64(p.p99_us)),
-                ("p999_us", enc_f64(p.p999_us)),
-                ("mean_queue_depth", enc_f64(p.mean_queue_depth)),
-                ("max_queue_depth", enc_u64(u64::from(p.max_queue_depth))),
-                ("throughput_per_sec", enc_f64(p.throughput_per_sec)),
-                ("preemptions", enc_u64(p.preemptions)),
-                (
-                    "depth_traces",
-                    Value::Array(
-                        p.depth_traces
-                            .iter()
-                            .map(|trace| {
-                                Value::Array(
-                                    trace.iter().map(|&d| Value::from(u64::from(d))).collect(),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        }
-        fn decode(v: &Value) -> Result<SaturationPoint, SimError> {
-            let depth_traces = field(v, "depth_traces")?
-                .as_array()
-                .ok_or_else(|| SimError::internal("depth_traces is not an array"))?
-                .iter()
-                .map(|trace| {
-                    trace
-                        .as_array()
-                        .ok_or_else(|| SimError::internal("depth trace is not an array"))?
-                        .iter()
-                        .map(|sample| {
-                            dec_u64(sample).and_then(|d| {
-                                u32::try_from(d).map_err(|_| {
-                                    SimError::internal("depth sample exceeds u32 range")
-                                })
-                            })
-                        })
-                        .collect::<Result<Vec<u32>, SimError>>()
-                })
-                .collect::<Result<Vec<_>, SimError>>()?;
-            Ok(SaturationPoint {
-                released: dec_u64(field(v, "released")?)?,
-                shed: dec_u64(field(v, "shed")?)?,
-                completed: dec_u64(field(v, "completed")?)?,
-                shed_rate: dec_f64(field(v, "shed_rate")?)?,
-                p50_us: dec_f64(field(v, "p50_us")?)?,
-                p99_us: dec_f64(field(v, "p99_us")?)?,
-                p999_us: dec_f64(field(v, "p999_us")?)?,
-                mean_queue_depth: dec_f64(field(v, "mean_queue_depth")?)?,
-                max_queue_depth: u32::try_from(dec_u64(field(v, "max_queue_depth")?)?)
-                    .map_err(|_| SimError::internal("max_queue_depth exceeds u32 range"))?,
-                throughput_per_sec: dec_f64(field(v, "throughput_per_sec")?)?,
-                preemptions: dec_u64(field(v, "preemptions")?)?,
-                depth_traces,
-            })
-        }
-        ValueCodec { encode, decode }
-    }
-
+impl SaturationResults {
     /// The per-cell results, in enumeration order.
     pub fn cells(&self) -> &[SaturationCell] {
         &self.cells
-    }
-
-    /// Wall-clock timing of the underlying sweep (isolated + main phase).
-    pub fn timing(&self) -> &SweepTiming {
-        &self.timing
     }
 
     /// The cells of one `(size, arrival, policy, mechanism)` combination,
@@ -669,36 +486,17 @@ impl SaturationResults {
     }
 }
 
-/// The per-scenario record streamed to the JSONL sink: one seed's raw
-/// outcome, identified by workload and scenario label.
-fn point_record(workload: &str, label: &str, size: usize, point: &SaturationPoint) -> SweepRecord {
-    let mut record = SweepRecord::new("saturation", workload, label, size)
-        .with_value("released", point.released as f64)
-        .with_value("shed", point.shed as f64)
-        .with_value("completed", point.completed as f64)
-        .with_value("shed_rate", point.shed_rate)
-        .with_value("p50_us", point.p50_us)
-        .with_value("p99_us", point.p99_us)
-        .with_value("p999_us", point.p999_us)
-        .with_value("mean_queue_depth", point.mean_queue_depth)
-        .with_value("max_queue_depth", point.max_queue_depth as f64)
-        .with_value("throughput_per_sec", point.throughput_per_sec)
-        .with_value("preemptions", point.preemptions as f64);
-    for (i, trace) in point.depth_traces.iter().enumerate() {
-        record = record.with_series(format!("depth_{i}"), trace.clone());
-    }
-    record
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SimulatorConfig;
+    use crate::experiments::{run, ExperimentScale};
 
     #[test]
     fn quick_sweep_locates_the_latency_throughput_knee() {
-        let config = SimulatorConfig::default();
         let scale = ExperimentScale::quick().with_sizes(vec![2]);
-        let results = SaturationResults::run(&config, &scale).unwrap();
+        let mut ctx = SweepCtx::new(SimulatorConfig::default(), scale, 1);
+        let (results, _) = run::<SaturationSweep>(&mut ctx).unwrap().unwrap();
         assert_eq!(
             results.cells().len(),
             SATURATION_RHOS.len()

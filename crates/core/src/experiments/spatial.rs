@@ -6,19 +6,14 @@
 //! degradation relative to FCFS; Figure 8 reports the full distribution of
 //! ANTT across workloads.
 
-use crate::config::{PolicyKind, SimulatorConfig};
-use crate::experiments::common::{
-    isolated_times_with_cache, mean_of, ExperimentScale, IsolatedRunCache,
-};
-use crate::json::Value;
+use crate::config::PolicyKind;
+use crate::experiments::common::{mean_of, Population};
+use crate::experiments::{Experiment, SweepCtx};
 use crate::report::{times, TextTable};
 use crate::simulator::SimulationRun;
-use crate::sweep::shard::{dec_f64, enc_f64, field, run_plan_values};
-use crate::sweep::{
-    Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming, ValueCodec,
-};
+use crate::sweep::{Metrics, Scenario, SweepPlan, SweepRecord, SweepReport};
 use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
-use gpreempt_types::{KernelClass, SimError, SimTime};
+use gpreempt_types::{KernelClass, SimError};
 use std::collections::HashMap;
 
 /// One scheduler configuration evaluated by the spatial-sharing experiment.
@@ -135,182 +130,85 @@ pub struct SpatialResults {
     records: Vec<SpatialRecord>,
     sizes: Vec<usize>,
     seed: u64,
-    timing: SweepTiming,
 }
 
-impl SpatialResults {
-    /// Runs the experiment at the given scale on a single worker (the
-    /// historical sequential behaviour).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run(config: &SimulatorConfig, scale: &ExperimentScale) -> Result<Self, SimError> {
-        Self::run_with(config, scale, &SweepRunner::sequential())
-    }
+/// The spatial-sharing sweep: every random workload of every size under
+/// each [`SpatialConfig`], folded into ANTT / STP / fairness and the
+/// per-process NTTs.
+#[derive(Debug, Default)]
+pub struct SpatialSweep {
+    population: Population,
+}
 
-    /// Runs the experiment at the given scale on `runner`'s workers;
-    /// results are bit-identical for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-    ) -> Result<Self, SimError> {
-        Self::run_with_cache(config, scale, runner, &IsolatedRunCache::new())
-    }
+impl Experiment for SpatialSweep {
+    const NAME: &'static str = "spatial";
+    const SCHEMA: &'static str = "antt,stp,fairness,ntt_*";
+    type Results = SpatialResults;
 
-    /// [`run_with`](Self::run_with) backed by a shared [`IsolatedRunCache`],
-    /// so several experiments over the same configuration compute each
-    /// distinct isolated run only once.
-    ///
-    /// The main sweep **streams**: every finished [`SimulationRun`] is
-    /// folded into its [`SpatialOutcome`] on the worker that simulated it
-    /// and dropped, so memory stays O(scenarios) instead of
-    /// O(runs × completions).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with_cache(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-    ) -> Result<Self, SimError> {
-        Ok(
-            Self::run_exec(config, scale, runner, cache, &SweepExec::Full)?
-                .expect("full run yields results"),
-        )
-    }
-
-    /// [`run_with_cache`](Self::run_with_cache) under an explicit execution
-    /// mode: a shard run checkpoints outcomes and returns `None`; a merge
-    /// decodes them and aggregates exactly like a full run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, checkpoint and decode errors.
-    pub fn run_exec(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        exec: &SweepExec<'_>,
-    ) -> Result<Option<Self>, SimError> {
-        let mut generator = scale.generator(config);
-        let mut workloads = Vec::new();
-        for &size in &scale.workload_sizes {
-            for workload in generator.random_population(size, scale.random_workloads) {
-                workloads.push((size, scale.finalize(workload)));
-            }
-        }
-
-        let (isolated, iso_timing) =
-            isolated_times_with_cache(runner, config, workloads.iter().map(|(_, w)| w), cache)?;
-        let iso_per_workload: Vec<Vec<SimTime>> = workloads
-            .iter()
-            .map(|(_, w)| isolated.times_for(w))
-            .collect::<Result<_, _>>()?;
-
-        let mut plan = SweepPlan::new(config.clone()).with_seed(scale.seed);
-        for (_, workload) in &workloads {
-            for cfg in SpatialConfig::all() {
+    fn plan(&mut self, ctx: &mut SweepCtx<'_>) -> Result<SweepPlan, SimError> {
+        let count = ctx.scale.random_workloads;
+        self.population = Population::draw(ctx, |generator, size| {
+            generator.random_population(size, count)
+        })?;
+        Ok(self.population.plan(&ctx.config, |workload| {
+            SpatialConfig::all().map(|cfg| {
                 let (policy, mechanism) = cfg.policy_and_mechanism();
-                plan.push(
-                    Scenario::new("spatial", cfg.label(), workload.clone(), policy)
-                        .with_selection(MechanismSelection::Fixed(mechanism)),
-                );
-            }
-        }
-        let n_cfg = SpatialConfig::all().len();
-        let fold = |scenario: &Scenario, run: SimulationRun| -> Result<SpatialOutcome, SimError> {
-            let metrics = run.metrics(&iso_per_workload[scenario.id / n_cfg])?;
-            Ok(SpatialOutcome {
-                ntt: metrics.ntt().to_vec(),
-                antt: metrics.antt(),
-                stp: metrics.stp(),
-                fairness: metrics.fairness(),
+                Scenario::new("spatial", cfg.label(), workload.clone(), policy)
+                    .with_selection(MechanismSelection::Fixed(mechanism))
             })
-        };
-        let outcome = run_plan_values(
-            exec,
-            runner,
-            &plan,
-            "spatial",
-            &Self::codec(),
-            &fold,
-            &|_, _| Ok(()),
-        )?;
-        let Some(outcome_values) = outcome.values else {
-            return Ok(None);
-        };
-        let timing = iso_timing.merged(outcome.timing);
-
-        let mut values = outcome_values.into_iter();
-        let mut records = Vec::new();
-        for (size, workload) in &workloads {
-            let app_classes = workload
-                .processes()
-                .iter()
-                .map(|p| p.benchmark.app_class())
-                .collect();
-            let mut outcomes = HashMap::new();
-            for cfg in SpatialConfig::all() {
-                let outcome = values.next().expect("one outcome per scenario");
-                outcomes.insert(cfg, outcome);
-            }
-            records.push(SpatialRecord {
-                workload: workload.name().to_string(),
-                size: *size,
-                app_classes,
-                outcomes,
-            });
-        }
-
-        Ok(Some(SpatialResults {
-            records,
-            sizes: scale.workload_sizes.clone(),
-            seed: scale.seed,
-            timing,
         }))
     }
 
-    /// Checkpoint codec for one outcome. The per-process NTT vector has
-    /// workload-dependent length and starved entries can be ∞, both of
-    /// which the array-of-[`enc_f64`] encoding preserves.
-    fn codec() -> ValueCodec<SpatialOutcome> {
-        fn encode(o: &SpatialOutcome) -> Value {
-            Value::object([
-                (
-                    "ntt",
-                    Value::Array(o.ntt.iter().map(|&v| enc_f64(v)).collect()),
-                ),
-                ("antt", enc_f64(o.antt)),
-                ("stp", enc_f64(o.stp)),
-                ("fairness", enc_f64(o.fairness)),
-            ])
-        }
-        fn decode(v: &Value) -> Result<SpatialOutcome, SimError> {
-            let ntt = field(v, "ntt")?
-                .as_array()
-                .ok_or_else(|| SimError::internal("ntt is not an array"))?
-                .iter()
-                .map(dec_f64)
-                .collect::<Result<_, _>>()?;
-            Ok(SpatialOutcome {
-                ntt,
-                antt: dec_f64(field(v, "antt")?)?,
-                stp: dec_f64(field(v, "stp")?)?,
-                fairness: dec_f64(field(v, "fairness")?)?,
-            })
-        }
-        ValueCodec { encode, decode }
+    fn fold(&self, scenario: &Scenario, run: &SimulationRun) -> Result<Metrics, SimError> {
+        let isolated = &self.population.isolated[scenario.id / SpatialConfig::all().len()];
+        let metrics = run.metrics(isolated)?;
+        let record = Metrics::default()
+            .with_value("antt", metrics.antt())
+            .with_value("stp", metrics.stp())
+            .with_value("fairness", metrics.fairness());
+        Ok(metrics
+            .ntt()
+            .iter()
+            .enumerate()
+            .fold(record, |m, (i, &ntt)| m.with_value(format!("ntt_{i}"), ntt)))
     }
 
+    fn aggregate(self, metrics: Vec<Metrics>) -> Result<SpatialResults, SimError> {
+        let mut records = Vec::new();
+        let per_workload = metrics.chunks(SpatialConfig::all().len());
+        for ((size, workload), per_cfg) in self.population.workloads.into_iter().zip(per_workload) {
+            let mut outcomes = HashMap::new();
+            for (cfg, m) in SpatialConfig::all().into_iter().zip(per_cfg) {
+                let outcome = SpatialOutcome {
+                    ntt: (0..workload.len())
+                        .map(|i| m.get(&format!("ntt_{i}")))
+                        .collect::<Result<_, _>>()?,
+                    antt: m.get("antt")?,
+                    stp: m.get("stp")?,
+                    fairness: m.get("fairness")?,
+                };
+                outcomes.insert(cfg, outcome);
+            }
+            records.push(SpatialRecord {
+                app_classes: workload
+                    .processes()
+                    .iter()
+                    .map(|p| p.benchmark.app_class())
+                    .collect(),
+                workload: workload.name().to_string(),
+                size,
+                outcomes,
+            });
+        }
+        Ok(SpatialResults {
+            records,
+            sizes: self.population.sizes,
+            seed: self.population.seed,
+        })
+    }
+}
+
+impl SpatialResults {
     /// The per-workload records.
     pub fn records(&self) -> &[SpatialRecord] {
         &self.records
@@ -319,12 +217,6 @@ impl SpatialResults {
     /// The workload sizes evaluated.
     pub fn sizes(&self) -> &[usize] {
         &self.sizes
-    }
-
-    /// Wall-clock timing of the underlying sweep (isolated phase + main
-    /// phase).
-    pub fn timing(&self) -> &SweepTiming {
-        &self.timing
     }
 
     /// The machine-readable report: one record per workload ×

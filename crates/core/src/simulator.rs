@@ -574,8 +574,8 @@ impl Simulator {
     /// The single-process FCFS workload an isolated-execution measurement
     /// simulates. Shared by [`Simulator::isolated_time`] and the sweep
     /// harnesses' batched isolated phase
-    /// ([`isolated_times_via`](crate::experiments::isolated_times_via)), so
-    /// the two paths cannot diverge.
+    /// ([`SweepCtx::isolated_times`](crate::experiments::SweepCtx::isolated_times)),
+    /// so the two paths cannot diverge.
     pub fn isolated_workload(benchmark: &BenchmarkTrace) -> Workload {
         Workload::new(
             format!("isolated-{}", benchmark.name()),

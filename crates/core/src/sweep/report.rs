@@ -2,54 +2,24 @@
 
 use crate::json::{self, Value};
 use crate::report::TextTable;
+use gpreempt_types::SimError;
 
-/// One record of a sweep report: the identity of a scenario plus the named
-/// metric values an experiment extracted from its simulation.
+/// A flat named-value record: what an experiment's fold extracts from one
+/// simulation, and the metric payload of one [`SweepRecord`].
 ///
 /// Values are an insertion-ordered list (not a map), so serialisation is
-/// deterministic. Non-finite values (a starved process's NTT is ∞)
-/// serialise as JSON `null`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRecord {
-    /// Record index within the report.
-    pub id: usize,
-    /// Experiment family (e.g. `"priority"`, `"spatial"`).
-    pub group: String,
-    /// Workload name.
-    pub workload: String,
-    /// Configuration label within the group.
-    pub config: String,
-    /// Number of co-scheduled processes.
-    pub size: usize,
-    /// Named metric values, in a fixed per-group order.
+/// deterministic. Shard checkpoints carry a `Metrics` per scenario
+/// bit-exactly, non-finite values and the sign of zero included.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Metrics {
+    /// Named metric values, in a fixed per-experiment order.
     pub values: Vec<(String, f64)>,
     /// Named sampled series (e.g. per-process queue-depth traces), in a
-    /// fixed per-group order. Almost always empty — the `series` JSON key
-    /// is emitted only when at least one series is present, so reports
-    /// without traces serialise exactly as they did before the field
-    /// existed.
+    /// fixed per-experiment order. Almost always empty.
     pub series: Vec<(String, Vec<u32>)>,
 }
 
-impl SweepRecord {
-    /// Creates a record; the id is assigned by [`SweepReport::push`].
-    pub fn new(
-        group: impl Into<String>,
-        workload: impl Into<String>,
-        config: impl Into<String>,
-        size: usize,
-    ) -> Self {
-        SweepRecord {
-            id: 0,
-            group: group.into(),
-            workload: workload.into(),
-            config: config.into(),
-            size,
-            values: Vec::new(),
-            series: Vec::new(),
-        }
-    }
-
+impl Metrics {
     /// Appends a named metric value.
     #[must_use]
     pub fn with_value(mut self, name: impl Into<String>, value: f64) -> Self {
@@ -72,6 +42,64 @@ impl SweepRecord {
         self.values.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
+    /// The value of a named metric an aggregation requires.
+    ///
+    /// # Errors
+    ///
+    /// Names the missing metric (a fold that drifted from its schema, or a
+    /// hand-edited checkpoint).
+    pub fn get(&self, name: &str) -> Result<f64, SimError> {
+        self.value(name)
+            .ok_or_else(|| SimError::internal(format!("metrics record has no value {name:?}")))
+    }
+}
+
+/// One record of a sweep report: the identity of a scenario plus the named
+/// metric values an experiment extracted from its simulation. Non-finite
+/// values (a starved process's NTT is ∞) serialise as JSON `null`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepRecord {
+    /// Record index within the report.
+    pub id: usize,
+    /// Experiment family (e.g. `"priority"`, `"spatial"`).
+    pub group: String,
+    /// Workload name.
+    pub workload: String,
+    /// Configuration label within the group.
+    pub config: String,
+    /// Number of co-scheduled processes.
+    pub size: usize,
+    /// The record's values and series. The `series` JSON key is emitted
+    /// only when at least one series is present, so reports without traces
+    /// serialise exactly as they did before series existed.
+    pub metrics: Metrics,
+}
+
+impl SweepRecord {
+    /// Creates a record; the id is assigned by [`SweepReport::push`].
+    pub fn new(
+        group: impl Into<String>,
+        workload: impl Into<String>,
+        config: impl Into<String>,
+        size: usize,
+    ) -> Self {
+        SweepRecord {
+            id: 0,
+            group: group.into(),
+            workload: workload.into(),
+            config: config.into(),
+            size,
+            metrics: Metrics::default(),
+        }
+    }
+
+    /// Appends a named metric value.
+    #[must_use]
+    pub fn with_value(mut self, name: impl Into<String>, value: f64) -> Self {
+        self.metrics = self.metrics.with_value(name, value);
+        self
+    }
+
     /// Serialises this record alone as compact JSON — one line of a JSONL
     /// stream ([`JsonlSink`](crate::sweep::JsonlSink)). Identical to the
     /// record's rendering inside [`SweepReport::to_json`].
@@ -89,18 +117,20 @@ impl SweepRecord {
             (
                 "values".to_string(),
                 Value::Object(
-                    self.values
+                    self.metrics
+                        .values
                         .iter()
                         .map(|(k, v)| (k.clone(), Value::Number(*v)))
                         .collect(),
                 ),
             ),
         ];
-        if !self.series.is_empty() {
+        if !self.metrics.series.is_empty() {
             fields.push((
                 "series".to_string(),
                 Value::Object(
-                    self.series
+                    self.metrics
+                        .series
                         .iter()
                         .map(|(k, samples)| {
                             let items =
@@ -250,6 +280,7 @@ impl SweepReport {
         .with_title(format!("Sweep report (plan seed {})", self.plan_seed));
         table.extend_rows(self.records.iter().map(|r| {
             let values = r
+                .metrics
                 .values
                 .iter()
                 .map(|(k, v)| format!("{k}={v:.4}"))
@@ -334,12 +365,12 @@ mod tests {
         let plain = sample().to_json();
         assert!(!plain.contains("series"));
         let mut report = SweepReport::new(1);
-        report.push(
-            SweepRecord::new("saturation", "w", "c", 2)
-                .with_value("shed_rate", 0.25)
-                .with_series("depth_0", vec![0, 1, 2, 1])
-                .with_series("depth_1", vec![]),
-        );
+        let mut record = SweepRecord::new("saturation", "w", "c", 2).with_value("shed_rate", 0.25);
+        record.metrics = record
+            .metrics
+            .with_series("depth_0", vec![0, 1, 2, 1])
+            .with_series("depth_1", vec![]);
+        report.push(record);
         let text = report.to_json();
         assert!(text.contains(r#""series":{"depth_0":[0,1,2,1]}"#));
         assert!(!text.contains("depth_1"), "empty series are dropped");
@@ -355,8 +386,8 @@ mod tests {
         let ids: Vec<usize> = a.records().iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
         assert!(!a.is_empty());
-        assert_eq!(a.records()[3].value("stp"), Some(1.4));
-        assert_eq!(a.records()[3].value("nope"), None);
+        assert_eq!(a.records()[3].metrics.value("stp"), Some(1.4));
+        assert_eq!(a.records()[3].metrics.value("nope"), None);
     }
 
     #[test]

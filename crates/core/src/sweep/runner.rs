@@ -2,7 +2,7 @@
 
 use crate::report::TextTable;
 use crate::simulator::{SimWorkspace, SimulationRun, Simulator};
-use crate::sweep::{FoldedScenario, Scenario, ScenarioResult, SweepPlan};
+use crate::sweep::{FoldedScenario, Scenario, SweepPlan};
 use gpreempt_sim::thread_allocations;
 use gpreempt_trace::TraceInterner;
 use gpreempt_types::SimError;
@@ -14,14 +14,6 @@ use std::time::{Duration, Instant};
 /// dropped — on the worker thread, so a streaming sweep holds at most one
 /// [`SimulationRun`] per worker in memory at any time.
 pub type ScenarioFold<'a, T> = dyn Fn(&Scenario, SimulationRun) -> Result<T, SimError> + Sync + 'a;
-
-/// A per-scenario tap: observes each fold output **on the worker that
-/// produced it**, in completion order, before the output is queued for
-/// id-ordered reassembly. This is the spill point of disk-streaming sweeps:
-/// a tap that appends to a [`JsonlSink`](crate::sweep::JsonlSink) gets every
-/// record on disk the moment its scenario finishes, regardless of how many
-/// scenarios are still pending in memory.
-pub type ScenarioTap<'a, T> = dyn Fn(&Scenario, &T) -> Result<(), SimError> + Sync + 'a;
 
 /// Executes the scenarios of a plan across worker threads.
 ///
@@ -52,11 +44,6 @@ impl SweepRunner {
         SweepRunner { jobs }
     }
 
-    /// A single-threaded runner (the historical harness behaviour).
-    pub fn sequential() -> Self {
-        SweepRunner::new(1)
-    }
-
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -74,106 +61,45 @@ impl SweepRunner {
         (len / (workers * 4)).clamp(1, 32)
     }
 
-    /// Runs every scenario of the plan, **keeping every simulation run**,
-    /// and returns the results in scenario-id order.
-    ///
-    /// This is the opt-in `keep_runs` mode: memory grows with the number of
-    /// scenarios (every [`SimulationRun`] body is retained), which the
-    /// regression tests rely on for exhaustive comparisons. Experiments
-    /// stream through [`run_fold`](Self::run_fold) instead, which keeps at
-    /// most one run per worker in memory.
-    ///
-    /// # Errors
-    ///
-    /// If any scenario fails, no further scenarios are started (in-flight
-    /// ones finish) and the error of the failing scenario with the
-    /// smallest id is returned — so the reported error does not depend on
-    /// the worker count either.
-    pub fn run(&self, plan: &SweepPlan) -> Result<SweepResults, SimError> {
-        let folded = self.run_fold(plan, &|_, run| Ok(run))?;
-        Ok(SweepResults {
-            results: folded
-                .outcomes
-                .into_iter()
-                .map(|o| ScenarioResult {
-                    scenario_id: o.scenario_id,
-                    run: o.value,
-                    wall: o.wall,
-                    events: o.events,
-                    allocs: o.allocs,
-                })
-                .collect(),
-            total_wall: folded.total_wall,
-            jobs: folded.jobs,
-        })
-    }
-
     /// Runs every scenario of the plan, folding each finished
     /// [`SimulationRun`] into `fold`'s output **on the worker that ran it**
     /// and dropping the run body immediately. Outputs are reassembled in
-    /// scenario-id order, so — exactly like [`run`](Self::run) — the result
-    /// is bit-identical for every worker count.
+    /// scenario-id order, so the result is bit-identical for every worker
+    /// count.
     ///
     /// Memory stays flat: at any moment at most one `SimulationRun` per
     /// worker is alive, so a sweep over `N` scenarios holds `O(N)` folded
-    /// records instead of `O(N × completions)` run bodies.
+    /// records instead of `O(N × completions)` run bodies. A fold that
+    /// returns the run itself (`&|_, run| Ok(run)`) keeps every run.
+    ///
+    /// A fold may also spill its value as a side effect (append it to a
+    /// [`JsonlSink`](crate::sweep::JsonlSink) or a shard checkpoint): it
+    /// runs on the worker, in completion order, the moment its scenario
+    /// finishes.
     ///
     /// # Errors
     ///
-    /// Fails like [`run`](Self::run): the error of the failing scenario
-    /// (simulation or fold) with the smallest id is returned, independent
-    /// of the worker count.
+    /// If any scenario (simulation or fold) fails, no further scenarios are
+    /// started (in-flight ones finish) and the error of the failing
+    /// scenario with the smallest id is returned — so the reported error
+    /// does not depend on the worker count either.
     pub fn run_fold<T: Send>(
         &self,
         plan: &SweepPlan,
         fold: &ScenarioFold<'_, T>,
     ) -> Result<FoldedResults<T>, SimError> {
-        self.run_fold_tap(plan, fold, &|_, _| Ok(()))
-    }
-
-    /// [`run_fold`](Self::run_fold) with a per-scenario [`ScenarioTap`]
-    /// observing each fold output on its worker, in completion order.
-    /// Reassembled results are identical to `run_fold`'s — the tap only
-    /// adds a side channel (typically a
-    /// [`JsonlSink`](crate::sweep::JsonlSink) spilling records to disk).
-    ///
-    /// # Errors
-    ///
-    /// A failing tap aborts the sweep exactly like a failing fold: the
-    /// error of the failing scenario with the smallest id is returned.
-    pub fn run_fold_tap<T: Send>(
-        &self,
-        plan: &SweepPlan,
-        fold: &ScenarioFold<'_, T>,
-        tap: &ScenarioTap<'_, T>,
-    ) -> Result<FoldedResults<T>, SimError> {
         let ids: Vec<usize> = (0..plan.len()).collect();
-        self.run_fold_tap_subset(plan, &ids, fold, tap)
+        self.run_fold_subset(plan, &ids, fold)
     }
 
     /// [`run_fold`](Self::run_fold) restricted to an explicit scenario-id
-    /// subset (no tap).
-    ///
-    /// # Errors
-    ///
-    /// Fails like [`run_fold_tap_subset`](Self::run_fold_tap_subset).
-    pub fn run_fold_subset<T: Send>(
-        &self,
-        plan: &SweepPlan,
-        ids: &[usize],
-        fold: &ScenarioFold<'_, T>,
-    ) -> Result<FoldedResults<T>, SimError> {
-        self.run_fold_tap_subset(plan, ids, fold, &|_, _| Ok(()))
-    }
-
-    /// [`run_fold_tap`](Self::run_fold_tap) restricted to an explicit
-    /// scenario-id subset: only the scenarios whose ids appear in `ids` are
-    /// executed, in the order given (shards pass their stripe here; a
-    /// resumed shard passes the stripe minus its checkpointed ids).
-    /// Everything else behaves identically — workers claim contiguous
-    /// chunks *of the subset*, outcomes are reassembled in subset order,
-    /// and the reported error is the one from the earliest subset position,
-    /// independent of the worker count.
+    /// subset: only the scenarios whose ids appear in `ids` are executed,
+    /// in the order given (shards pass their stripe here; a resumed shard
+    /// passes the stripe minus its checkpointed ids). Everything else
+    /// behaves identically — workers claim contiguous chunks *of the
+    /// subset*, outcomes are reassembled in subset order, and the reported
+    /// error is the one from the earliest subset position, independent of
+    /// the worker count.
     ///
     /// Derived seeds, horizons and every other per-scenario property were
     /// fixed at plan-build time, so running a subset cannot perturb any
@@ -181,14 +107,13 @@ impl SweepRunner {
     ///
     /// # Errors
     ///
-    /// Fails like [`run_fold_tap`](Self::run_fold_tap); additionally, an id
-    /// outside the plan is an internal error (a caller bug).
-    pub fn run_fold_tap_subset<T: Send>(
+    /// Fails like [`run_fold`](Self::run_fold); additionally, an id outside
+    /// the plan is an internal error (a caller bug).
+    pub fn run_fold_subset<T: Send>(
         &self,
         plan: &SweepPlan,
         ids: &[usize],
         fold: &ScenarioFold<'_, T>,
-        tap: &ScenarioTap<'_, T>,
     ) -> Result<FoldedResults<T>, SimError> {
         let scenarios = plan.scenarios();
         if let Some(&bad) = ids.iter().find(|&&id| id >= scenarios.len()) {
@@ -206,8 +131,7 @@ impl SweepRunner {
             let mut ws = SimWorkspace::new();
             let mut interner = TraceInterner::new();
             for (i, &id) in ids.iter().enumerate() {
-                let outcome =
-                    Self::execute(plan, &scenarios[id], &mut ws, &mut interner, fold, tap);
+                let outcome = Self::execute(plan, &scenarios[id], &mut ws, &mut interner, fold);
                 let failed = outcome.is_err();
                 slots[i] = Some(outcome);
                 if failed {
@@ -257,7 +181,6 @@ impl SweepRunner {
                                         &mut ws,
                                         &mut interner,
                                         fold,
-                                        tap,
                                     );
                                     if outcome.is_err() {
                                         failed.store(true, Ordering::Relaxed);
@@ -304,17 +227,16 @@ impl SweepRunner {
 
     /// Runs one scenario — the plan's base configuration plus the
     /// scenario's overrides, simulated through the worker's reusable
-    /// [`SimWorkspace`] arena — folds the finished run (dropping its body),
-    /// and hands the fold output to the tap. Allocation counts are the
-    /// worker thread's delta across intern + simulate + fold + tap (zero
-    /// unless the process installed [`gpreempt_sim::CountingAlloc`]).
+    /// [`SimWorkspace`] arena — and folds the finished run (dropping its
+    /// body). Allocation counts are the worker thread's delta across the
+    /// intern, simulate and fold steps (zero unless the process installed
+    /// [`gpreempt_sim::CountingAlloc`]).
     fn execute<T>(
         plan: &SweepPlan,
         scenario: &Scenario,
         ws: &mut SimWorkspace,
         interner: &mut TraceInterner,
         fold: &ScenarioFold<'_, T>,
-        tap: &ScenarioTap<'_, T>,
     ) -> Result<FoldedScenario<T>, SimError> {
         let mut config = plan.config().clone();
         if let Some(selection) = scenario.selection {
@@ -338,7 +260,6 @@ impl SweepRunner {
         };
         let events = run.events_processed();
         let value = fold(scenario, run)?;
-        tap(scenario, &value)?;
         Ok(FoldedScenario {
             scenario_id: scenario.id,
             value,
@@ -346,70 +267,6 @@ impl SweepRunner {
             events,
             allocs: thread_allocations() - allocs_before,
         })
-    }
-}
-
-impl Default for SweepRunner {
-    /// Defaults to sequential execution, matching the historical harnesses.
-    fn default() -> Self {
-        SweepRunner::sequential()
-    }
-}
-
-/// The results of one executed plan, in scenario-id order.
-#[derive(Debug, Clone)]
-pub struct SweepResults {
-    results: Vec<ScenarioResult>,
-    total_wall: Duration,
-    jobs: usize,
-}
-
-impl SweepResults {
-    /// The per-scenario results, in scenario-id order.
-    pub fn results(&self) -> &[ScenarioResult] {
-        &self.results
-    }
-
-    /// The simulation run of the scenario with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range (a caller bug: results always cover
-    /// the full plan).
-    pub fn run_of(&self, scenario_id: usize) -> &SimulationRun {
-        &self.results[scenario_id].run
-    }
-
-    /// Number of executed scenarios.
-    pub fn len(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Whether the plan was empty.
-    pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
-    }
-
-    /// Wall-clock time of the whole sweep.
-    pub fn total_wall(&self) -> Duration {
-        self.total_wall
-    }
-
-    /// Number of workers that executed the sweep.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Per-scenario wall-clock timing, labelled from the plan.
-    pub fn timing(&self, plan: &SweepPlan) -> SweepTiming {
-        timing_of(
-            self.jobs,
-            self.total_wall,
-            plan,
-            self.results
-                .iter()
-                .map(|r| (r.scenario_id, r.wall, r.events, r.allocs)),
-        )
     }
 }
 
@@ -430,7 +287,7 @@ impl<T> FoldedResults<T> {
     }
 
     /// The fold output of the scenario with the given id. For results of a
-    /// subset run ([`SweepRunner::run_fold_tap_subset`]) the index is the
+    /// subset run ([`SweepRunner::run_fold_subset`]) the index is the
     /// *position within the subset*, not the plan-wide scenario id.
     ///
     /// # Panics
@@ -474,44 +331,27 @@ impl<T> FoldedResults<T> {
 
     /// Per-scenario wall-clock timing, labelled from the plan.
     pub fn timing(&self, plan: &SweepPlan) -> SweepTiming {
-        timing_of(
-            self.jobs,
-            self.total_wall,
-            plan,
-            self.outcomes
-                .iter()
-                .map(|o| (o.scenario_id, o.wall, o.events, o.allocs)),
-        )
-    }
-}
-
-/// Builds the labelled timing summary shared by the keep-runs and streaming
-/// result types.
-fn timing_of(
-    jobs: usize,
-    total: Duration,
-    plan: &SweepPlan,
-    per_scenario: impl Iterator<Item = (usize, Duration, u64, u64)>,
-) -> SweepTiming {
-    let entries: Vec<TimingEntry> = per_scenario
-        .map(|(id, wall, events, allocs)| {
-            let s = &plan.scenarios()[id];
-            TimingEntry {
-                group: s.group.clone(),
-                workload: s.workload.name().to_string(),
-                label: s.label.clone(),
-                wall,
-                events,
-                allocs,
-            }
-        })
-        .collect();
-    let events = entries.iter().map(|e| e.events).sum();
-    SweepTiming {
-        jobs,
-        total,
-        events,
-        entries,
+        let entries: Vec<TimingEntry> = self
+            .outcomes
+            .iter()
+            .map(|o| {
+                let s = &plan.scenarios()[o.scenario_id];
+                TimingEntry {
+                    group: s.group.clone(),
+                    workload: s.workload.name().to_string(),
+                    label: s.label.clone(),
+                    wall: o.wall,
+                    events: o.events,
+                    allocs: o.allocs,
+                }
+            })
+            .collect();
+        SweepTiming {
+            jobs: self.jobs,
+            total: self.total_wall,
+            events: self.events_total(),
+            entries,
+        }
     }
 }
 
@@ -602,12 +442,6 @@ impl SweepTiming {
         )
     }
 
-    /// Total allocation events across every scenario (zero without a
-    /// counting allocator installed).
-    pub fn allocs_total(&self) -> u64 {
-        self.entries.iter().map(|e| e.allocs).sum()
-    }
-
     /// Renders the per-scenario wall-clock table, streaming rows straight
     /// from the timing entries.
     pub fn render(&self) -> TextTable {
@@ -685,20 +519,33 @@ mod tests {
         plan
     }
 
-    fn fingerprint(results: &SweepResults) -> Vec<(usize, u64, gpreempt_types::SimTime)> {
+    /// Runs the plan keeping every run: the identity fold.
+    fn keep_runs(jobs: usize, plan: &SweepPlan) -> Result<FoldedResults<SimulationRun>, SimError> {
+        SweepRunner::new(jobs).run_fold(plan, &|_, run| Ok(run))
+    }
+
+    fn fingerprint(
+        results: &FoldedResults<SimulationRun>,
+    ) -> Vec<(usize, u64, gpreempt_types::SimTime)> {
         results
-            .results()
+            .outcomes()
             .iter()
-            .map(|r| (r.scenario_id, r.run.events_processed(), r.run.end_time()))
+            .map(|o| {
+                (
+                    o.scenario_id,
+                    o.value.events_processed(),
+                    o.value.end_time(),
+                )
+            })
             .collect()
     }
 
     #[test]
     fn parallel_results_match_sequential() {
         let plan = tiny_plan(6);
-        let sequential = SweepRunner::sequential().run(&plan).unwrap();
+        let sequential = keep_runs(1, &plan).unwrap();
         for jobs in [2, 4, 8] {
-            let parallel = SweepRunner::new(jobs).run(&plan).unwrap();
+            let parallel = keep_runs(jobs, &plan).unwrap();
             assert_eq!(
                 fingerprint(&sequential),
                 fingerprint(&parallel),
@@ -714,8 +561,8 @@ mod tests {
     fn chunked_claiming_matches_sequential() {
         let plan = lean_plan(20);
         assert!(SweepRunner::chunk_size(plan.len(), 2) > 1);
-        let sequential = SweepRunner::sequential().run(&plan).unwrap();
-        let chunked = SweepRunner::new(2).run(&plan).unwrap();
+        let sequential = keep_runs(1, &plan).unwrap();
+        let chunked = keep_runs(2, &plan).unwrap();
         assert_eq!(fingerprint(&sequential), fingerprint(&chunked));
     }
 
@@ -746,7 +593,7 @@ mod tests {
                 .with_seed(7)
                 .with_horizon(gpreempt_types::SimTime::from_millis(2)),
         );
-        let reused = SweepRunner::sequential()
+        let reused = SweepRunner::new(1)
             .run_fold(&plan, &|_, run| {
                 Ok((run.events_processed(), run.end_time()))
             })
@@ -777,8 +624,8 @@ mod tests {
     #[test]
     fn results_are_ordered_by_scenario_id() {
         let plan = tiny_plan(5);
-        let results = SweepRunner::new(3).run(&plan).unwrap();
-        let ids: Vec<usize> = results.results().iter().map(|r| r.scenario_id).collect();
+        let results = keep_runs(3, &plan).unwrap();
+        let ids: Vec<usize> = results.outcomes().iter().map(|o| o.scenario_id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
         assert_eq!(results.len(), 5);
         assert!(!results.is_empty());
@@ -787,7 +634,7 @@ mod tests {
     #[test]
     fn empty_plan_runs_to_empty_results() {
         let plan = SweepPlan::new(SimulatorConfig::default());
-        let results = SweepRunner::new(4).run(&plan).unwrap();
+        let results = keep_runs(4, &plan).unwrap();
         assert!(results.is_empty());
         assert!(results.timing(&plan).entries.is_empty());
     }
@@ -795,8 +642,7 @@ mod tests {
     #[test]
     fn auto_jobs_resolves_to_at_least_one_worker() {
         assert!(SweepRunner::new(0).jobs() >= 1);
-        assert_eq!(SweepRunner::sequential().jobs(), 1);
-        assert_eq!(SweepRunner::default().jobs(), 1);
+        assert_eq!(SweepRunner::new(1).jobs(), 1);
     }
 
     #[test]
@@ -834,7 +680,7 @@ mod tests {
             PolicyKind::Fcfs,
         ));
         for jobs in [1, 4] {
-            let err = SweepRunner::new(jobs).run(&plan).unwrap_err();
+            let err = keep_runs(jobs, &plan).unwrap_err();
             assert!(
                 err.to_string().contains("no processes"),
                 "jobs={jobs}: {err}"
@@ -875,7 +721,7 @@ mod tests {
         }
         assert_eq!(SweepRunner::chunk_size(plan.len(), 2), 3);
         for jobs in [1, 2, 4] {
-            let err = SweepRunner::new(jobs).run(&plan).unwrap_err();
+            let err = keep_runs(jobs, &plan).unwrap_err();
             assert!(err.to_string().contains("bad7"), "jobs={jobs}: {err}");
         }
     }
@@ -886,7 +732,7 @@ mod tests {
     #[test]
     fn subset_runs_match_the_full_run_scenario_for_scenario() {
         let plan = lean_plan(12);
-        let full = SweepRunner::sequential().run(&plan).unwrap();
+        let full = keep_runs(1, &plan).unwrap();
         let ids: Vec<usize> = (0..plan.len()).filter(|id| id % 3 == 1).collect();
         for jobs in [1, 2, 4] {
             let subset = SweepRunner::new(jobs)
@@ -897,10 +743,10 @@ mod tests {
             assert_eq!(subset.len(), ids.len(), "jobs={jobs}");
             for (pos, outcome) in subset.outcomes().iter().enumerate() {
                 assert_eq!(outcome.scenario_id, ids[pos], "jobs={jobs}");
-                let reference = &full.results()[ids[pos]];
+                let reference = full.value_of(ids[pos]);
                 assert_eq!(
                     outcome.value,
-                    (reference.run.events_processed(), reference.run.end_time()),
+                    (reference.events_processed(), reference.end_time()),
                     "jobs={jobs} id={}",
                     ids[pos]
                 );
@@ -914,7 +760,7 @@ mod tests {
     #[test]
     fn subset_with_out_of_range_id_is_an_error() {
         let plan = lean_plan(3);
-        let err = SweepRunner::sequential()
+        let err = SweepRunner::new(1)
             .run_fold_subset(&plan, &[1, 7], &|_, run| Ok(run.events_processed()))
             .unwrap_err();
         assert!(err.to_string().contains("scenario id 7"), "{err}");
@@ -932,7 +778,7 @@ mod tests {
     #[test]
     fn timing_is_labelled_and_summarised() {
         let plan = tiny_plan(3);
-        let results = SweepRunner::new(2).run(&plan).unwrap();
+        let results = keep_runs(2, &plan).unwrap();
         let timing = results.timing(&plan);
         assert_eq!(timing.entries.len(), 3);
         assert_eq!(timing.entries[0].label, "s0");

@@ -19,59 +19,28 @@
 //!   scenarios.
 //! * [`MergedValues`] — the reassembled fold values of a full shard set
 //!   (indices exactly `0..n`), keyed by `(experiment, scenario id)`.
-//! * [`run_plan_values`] — the execution seam every experiment harness
-//!   routes through: in [`SweepExec::Full`] mode it runs the whole plan; in
-//!   `Shard` mode it runs only the stripe's pending ids and checkpoints
-//!   each fold value through the experiment's [`ValueCodec`]; in `Merge`
-//!   mode it runs **nothing**, decoding the checkpointed values in
-//!   scenario-id order instead — after which the experiment's unchanged
+//! * [`SweepExec`] — the execution mode the experiment driver
+//!   ([`crate::experiments::run`]) runs a plan under: `Full` runs the whole
+//!   plan; `Shard` runs only the stripe's pending ids and checkpoints each
+//!   fold value; `Merge` runs **nothing**, reading the checkpointed values
+//!   in scenario-id order instead — after which the experiment's unchanged
 //!   aggregation code produces the byte-identical report.
 //!
+//! Every fold value is a [`Metrics`] record, checkpointed bit-exactly: each
+//! `f64` travels as its IEEE-754 bit pattern, so NaN, ±∞ and −0.0 survive.
 //! Checkpointing the *fold values* (not the report records) is what makes
 //! the merge provably byte-identical: aggregation (means, confidence
 //! intervals, knee detection) runs exactly once, at merge time, over values
 //! in the exact id order a full run would have produced.
 
+use crate::experiments::schema_fingerprint;
 use crate::json::{self, Value};
-use crate::sweep::runner::{ScenarioFold, ScenarioTap};
-use crate::sweep::{SweepPlan, SweepRunner, SweepTiming};
-use gpreempt_types::{SimError, SimTime};
+use crate::sweep::Metrics;
+use gpreempt_types::SimError;
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// The value-schema of every experiment's checkpointed fold value, one
-/// entry per experiment. The manifest's schema fingerprint hashes this
-/// list, so a checkpoint written by an older binary whose fold values
-/// carried different fields refuses to resume or merge instead of decoding
-/// garbage. **Extend the relevant entry whenever a fold value changes.**
-const SCHEMA: &[&str] = &[
-    "fig2:policy,k1_finish_ns,k2_finish_ns,k3_start_ns,k3_finish_ns",
-    "priority:ntt_high_priority,stp",
-    "spatial:ntt[],antt,stp,fairness",
-    "mechanism:antt,stp,fairness,preemptions,preemptions_completed,\
-     mean_preemption_latency_ns,drain_picks,cs_picks,mean_estimate_error_ns",
-    "realtime:miss_rate,mean_response_us,max_tardiness_us,completed,missed,\
-     preemptions,mean_preempt_latency_us",
-    "saturation:released,shed,completed,shed_rate,p50_us,p99_us,p999_us,\
-     mean_queue_depth,max_queue_depth,throughput_per_sec,preemptions,depth_traces[][]",
-];
-
-/// FNV-1a fingerprint of [`SCHEMA`]: two checkpoints inter-operate exactly
-/// when their binaries agreed on every experiment's fold-value layout.
-pub fn schema_fingerprint() -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for entry in SCHEMA {
-        for byte in entry.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash ^= u64::from(b';');
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 fn io_err(what: &str, e: std::io::Error) -> SimError {
     SimError::internal(format!("shard checkpoint {what}: {e}"))
@@ -240,44 +209,34 @@ impl ShardManifest {
     /// expected manifest for a resume: every field including the stripe
     /// must match.
     fn ensure_matches(&self, other: &ShardManifest, path: &str) -> Result<(), SimError> {
-        let mismatch = |field: &str, want: &str, got: &str| {
-            SimError::internal(format!(
+        let fields = [
+            (
+                "experiment",
+                self.experiment.clone(),
+                other.experiment.clone(),
+            ),
+            ("scale", self.scale.clone(), other.scale.clone()),
+            ("seed", self.seed.to_string(), other.seed.to_string()),
+            ("shard", self.shard.label(), other.shard.label()),
+            (
+                "schema fingerprint",
+                format!("{:016x}", self.schema),
+                format!("{:016x}", other.schema),
+            ),
+            (
+                "depth_trace_us",
+                format!("{:?}", self.depth_trace_us),
+                format!("{:?}", other.depth_trace_us),
+            ),
+        ];
+        match fields.into_iter().find(|(_, want, got)| want != got) {
+            None => Ok(()),
+            Some((field, want, got)) => Err(SimError::internal(format!(
                 "shard checkpoint {path} does not match this invocation: \
                  {field} is {got}, expected {want} \
                  (delete the file to start this shard from scratch)"
-            ))
-        };
-        if other.experiment != self.experiment {
-            return Err(mismatch("experiment", &self.experiment, &other.experiment));
+            ))),
         }
-        if other.scale != self.scale {
-            return Err(mismatch("scale", &self.scale, &other.scale));
-        }
-        if other.seed != self.seed {
-            return Err(mismatch(
-                "seed",
-                &self.seed.to_string(),
-                &other.seed.to_string(),
-            ));
-        }
-        if other.shard != self.shard {
-            return Err(mismatch("shard", &self.shard.label(), &other.shard.label()));
-        }
-        if other.schema != self.schema {
-            return Err(mismatch(
-                "schema fingerprint",
-                &format!("{:016x}", self.schema),
-                &format!("{:016x}", other.schema),
-            ));
-        }
-        if other.depth_trace_us != self.depth_trace_us {
-            return Err(mismatch(
-                "depth_trace_us",
-                &format!("{:?}", self.depth_trace_us),
-                &format!("{:?}", other.depth_trace_us),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -285,9 +244,50 @@ impl ShardManifest {
 // Checkpoint records
 // ---------------------------------------------------------------------------
 
-/// One parsed checkpoint line: which scenario it belongs to and the fold
-/// value the experiment's codec will decode.
-fn parse_record(line: &str) -> Result<(String, usize, Value), SimError> {
+/// Encodes a fold value bit-exactly: values become the integers of their
+/// IEEE-754 bit patterns, series stay arrays of samples.
+fn encode_metrics(metrics: &Metrics) -> Value {
+    let values = metrics
+        .values
+        .iter()
+        .map(|(k, v)| (k.clone(), Value::from(v.to_bits())));
+    let series = metrics.series.iter().map(|(k, samples)| {
+        let items = samples.iter().map(|&s| Value::from(u64::from(s))).collect();
+        (k.clone(), Value::Array(items))
+    });
+    Value::Object(values.chain(series).collect())
+}
+
+/// Decodes [`encode_metrics`]'s output.
+fn decode_metrics(value: &Value) -> Result<Metrics, String> {
+    let Value::Object(fields) = value else {
+        return Err("value is not an object".to_string());
+    };
+    let mut metrics = Metrics::default();
+    for (key, field) in fields {
+        match field {
+            Value::Array(items) => {
+                let samples = items
+                    .iter()
+                    .map(|item| item.as_u64().and_then(|s| u32::try_from(s).ok()))
+                    .collect::<Option<Vec<u32>>>()
+                    .ok_or_else(|| format!("series {key:?} holds a non-u32 sample"))?;
+                metrics.series.push((key.clone(), samples));
+            }
+            other => {
+                let bits = other
+                    .as_u64()
+                    .ok_or_else(|| format!("value {key:?} is not an f64 bit pattern"))?;
+                metrics.values.push((key.clone(), f64::from_bits(bits)));
+            }
+        }
+    }
+    Ok(metrics)
+}
+
+/// One parsed checkpoint line: which scenario it belongs to and its fold
+/// value.
+fn parse_record(line: &str) -> Result<(String, usize, Metrics), SimError> {
     let bad = |what: &str| SimError::internal(format!("invalid shard record: {what}"));
     let v = json::parse(line).map_err(|e| bad(&e))?;
     let experiment = v
@@ -299,15 +299,16 @@ fn parse_record(line: &str) -> Result<(String, usize, Value), SimError> {
         .get("id")
         .and_then(Value::as_u64)
         .ok_or_else(|| bad("missing id"))? as usize;
-    let value = v.get("value").ok_or_else(|| bad("missing value"))?.clone();
+    let value =
+        decode_metrics(v.get("value").ok_or_else(|| bad("missing value"))?).map_err(|e| bad(&e))?;
     Ok((experiment, id, value))
 }
 
-fn record_line(experiment: &str, id: usize, value: &Value) -> String {
-    Value::Object(vec![
-        ("experiment".to_string(), Value::from(experiment)),
-        ("id".to_string(), Value::from(id as u64)),
-        ("value".to_string(), value.clone()),
+fn record_line(experiment: &str, id: usize, metrics: &Metrics) -> String {
+    Value::object([
+        ("experiment", Value::from(experiment)),
+        ("id", Value::from(id as u64)),
+        ("value", encode_metrics(metrics)),
     ])
     .to_json()
 }
@@ -335,9 +336,14 @@ impl ShardSession {
     /// Opens the checkpoint at `path` for the given manifest. A missing or
     /// empty file starts a fresh shard (the manifest line is written
     /// immediately). An existing file **resumes**: its manifest must match,
-    /// its valid record prefix becomes the done-set, a torn trailing line
-    /// (the write the kill interrupted) is discarded, and the file is
-    /// rewritten to the valid prefix before appending continues.
+    /// its valid record prefix becomes the done-set, and the file is cut
+    /// back to the end of the last complete, newline-terminated record
+    /// before appending continues. A last line without its `\n` — the
+    /// write a kill interrupted — counts as torn and is discarded.
+    ///
+    /// The completed records are never rewritten: the file is opened for
+    /// appending and only ever shortened to its valid prefix, so a kill
+    /// during the resume itself cannot lose them.
     ///
     /// # Errors
     ///
@@ -356,50 +362,53 @@ impl ShardSession {
         };
 
         let mut done = HashSet::new();
-        let mut valid_lines: Vec<&str> = Vec::new();
-        let mut lines = existing.lines();
+        // Byte length of the valid prefix: the manifest plus every intact
+        // record, each with its terminating newline.
+        let mut valid_len = 0;
+        let mut lines = existing.split_inclusive('\n');
         if let Some(header) = lines.next() {
-            let on_disk = ShardManifest::parse(header)?;
+            let on_disk = ShardManifest::parse(header.trim_end_matches('\n'))?;
             manifest.ensure_matches(&on_disk, &shown)?;
-            valid_lines.push(header);
-            for line in lines {
-                // The torn tail: a line the kill cut short (or trailing
-                // garbage). Everything after the first unparseable line is
-                // discarded — records are only ever appended, so the valid
-                // prefix is exactly the completed work.
-                let Ok((experiment, id, _)) = parse_record(line) else {
-                    break;
-                };
-                if !manifest.shard.owns(id) {
-                    return Err(SimError::internal(format!(
-                        "shard checkpoint {shown} contains scenario id {id}, \
-                         which shard {} does not own",
-                        manifest.shard.label()
-                    )));
+            if header.ends_with('\n') {
+                valid_len = header.len();
+                for line in lines {
+                    // The torn tail: a line the kill cut short (or trailing
+                    // garbage). Everything from the first unterminated or
+                    // unparseable line on is discarded — records are only
+                    // ever appended, so the valid prefix is exactly the
+                    // completed work.
+                    let Some(Ok((experiment, id, _))) = line.strip_suffix('\n').map(parse_record)
+                    else {
+                        break;
+                    };
+                    if !manifest.shard.owns(id) {
+                        return Err(SimError::internal(format!(
+                            "shard checkpoint {shown} contains scenario id {id}, \
+                             which shard {} does not own",
+                            manifest.shard.label()
+                        )));
+                    }
+                    done.insert((experiment, id));
+                    valid_len += line.len();
                 }
-                done.insert((experiment, id));
-                valid_lines.push(line);
             }
         }
 
-        // Rewrite the file to its valid prefix (manifest + intact records);
-        // for a fresh shard this just writes the manifest line.
-        let file = std::fs::File::create(path).map_err(|e| io_err("create failed", e))?;
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| io_err("open failed", e))?;
+        file.set_len(valid_len as u64)
+            .map_err(|e| io_err("truncate failed", e))?;
         let mut writer = std::io::BufWriter::new(file);
-        if valid_lines.is_empty() {
+        if valid_len == 0 {
             writer
                 .write_all(manifest.to_json().as_bytes())
                 .and_then(|()| writer.write_all(b"\n"))
+                .and_then(|()| writer.flush())
                 .map_err(|e| io_err("manifest write failed", e))?;
-        } else {
-            for line in &valid_lines {
-                writer
-                    .write_all(line.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .map_err(|e| io_err("rewrite failed", e))?;
-            }
         }
-        writer.flush().map_err(|e| io_err("flush failed", e))?;
 
         Ok(ShardSession {
             manifest,
@@ -435,14 +444,14 @@ impl ShardSession {
             .collect()
     }
 
-    /// Appends one completed scenario's encoded fold value and flushes it,
-    /// making it durable before the runner moves on.
+    /// Appends one completed scenario's fold value and flushes it, making
+    /// it durable before the runner moves on.
     ///
     /// # Errors
     ///
-    /// Propagates the I/O failure (aborting the sweep, like a failing tap).
-    pub fn record(&self, experiment: &str, id: usize, value: &Value) -> Result<(), SimError> {
-        let line = record_line(experiment, id, value);
+    /// Propagates the I/O failure (aborting the sweep, like a failing fold).
+    pub fn record(&self, experiment: &str, id: usize, metrics: &Metrics) -> Result<(), SimError> {
+        let line = record_line(experiment, id, metrics);
         let mut writer = self.writer.lock().expect("shard checkpoint poisoned");
         writer
             .write_all(line.as_bytes())
@@ -463,7 +472,7 @@ impl ShardSession {
 #[derive(Debug)]
 pub struct MergedValues {
     manifest: ShardManifest,
-    values: HashMap<(String, usize), Value>,
+    values: HashMap<(String, usize), Metrics>,
 }
 
 impl MergedValues {
@@ -473,7 +482,7 @@ impl MergedValues {
     /// (each once), and every record must belong to its file's stripe.
     ///
     /// Completeness per experiment is *not* checked here — plan lengths are
-    /// only known once the plans are rebuilt; [`run_plan_values`] reports
+    /// only known once the plans are rebuilt; the experiment driver reports
     /// the first missing id.
     ///
     /// # Errors
@@ -486,7 +495,7 @@ impl MergedValues {
         }
         let mut reference: Option<ShardManifest> = None;
         let mut seen_indices: HashSet<u32> = HashSet::new();
-        let mut values: HashMap<(String, usize), Value> = HashMap::new();
+        let mut values: HashMap<(String, usize), Metrics> = HashMap::new();
         for path in paths {
             let shown = path.as_ref().display().to_string();
             let text = std::fs::read_to_string(path)
@@ -553,7 +562,7 @@ impl MergedValues {
     ///
     /// A missing value means a shard was killed and never resumed to
     /// completion — the error names the hole.
-    pub fn value(&self, experiment: &str, id: usize) -> Result<&Value, SimError> {
+    pub fn value(&self, experiment: &str, id: usize) -> Result<&Metrics, SimError> {
         self.values
             .get(&(experiment.to_string(), id))
             .ok_or_else(|| {
@@ -579,187 +588,17 @@ impl MergedValues {
 // The execution seam
 // ---------------------------------------------------------------------------
 
-/// How an experiment harness should execute its plan.
-#[derive(Debug)]
+/// How the experiment driver executes a plan.
+#[derive(Debug, Clone, Copy)]
 pub enum SweepExec<'a> {
-    /// Simulate every scenario (the historical behaviour).
+    /// Simulate every scenario.
     Full,
     /// Simulate only this shard's pending stripe, checkpointing fold
-    /// values; aggregation is skipped (the harness yields no results).
+    /// values; aggregation is skipped (the driver yields no results).
     Shard(&'a ShardSession),
-    /// Simulate nothing: decode the checkpointed fold values in
-    /// scenario-id order and aggregate exactly as a full run would.
+    /// Simulate nothing: read the checkpointed fold values in scenario-id
+    /// order and aggregate exactly as a full run would.
     Merge(&'a MergedValues),
-}
-
-/// Encodes an experiment's per-scenario fold value to checkpoint JSON and
-/// back. The round trip must be exact — [`enc_f64`]/[`dec_f64`] and
-/// friends guarantee that per field, including non-finite values the
-/// report JSON itself cannot represent.
-#[derive(Debug, Clone, Copy)]
-pub struct ValueCodec<T> {
-    /// Value → checkpoint JSON object.
-    pub encode: fn(&T) -> Value,
-    /// Checkpoint JSON object → value (error on schema drift).
-    pub decode: fn(&Value) -> Result<T, SimError>,
-}
-
-/// The outcome of [`run_plan_values`].
-#[derive(Debug)]
-pub struct PlanValues<T> {
-    /// The fold values in scenario-id order — `None` in shard mode, where
-    /// values went to the checkpoint instead of to aggregation.
-    pub values: Option<Vec<T>>,
-    /// Wall-clock timing of whatever was actually simulated (empty in
-    /// merge mode: nothing runs).
-    pub timing: SweepTiming,
-}
-
-/// Executes (or replays) one experiment's plan under the given
-/// [`SweepExec`] mode. This is the single seam every harness routes its
-/// main phase through, so full, sharded and merged execution cannot drift
-/// apart.
-///
-/// In `Shard` mode the caller's `tap` is **not** invoked — the checkpoint
-/// is the shard's only output, and the merge re-taps every value in
-/// scenario-id order (deterministic, unlike a parallel run's completion
-/// order).
-///
-/// # Errors
-///
-/// Full/shard mode fail like
-/// [`SweepRunner::run_fold_tap`]; merge mode fails on a missing or
-/// undecodable checkpoint value (naming the experiment and scenario id).
-pub fn run_plan_values<T: Send>(
-    exec: &SweepExec<'_>,
-    runner: &SweepRunner,
-    plan: &SweepPlan,
-    experiment: &str,
-    codec: &ValueCodec<T>,
-    fold: &ScenarioFold<'_, T>,
-    tap: &ScenarioTap<'_, T>,
-) -> Result<PlanValues<T>, SimError> {
-    match exec {
-        SweepExec::Full => {
-            let results = runner.run_fold_tap(plan, fold, tap)?;
-            let timing = results.timing(plan);
-            Ok(PlanValues {
-                values: Some(results.into_values()),
-                timing,
-            })
-        }
-        SweepExec::Shard(session) => {
-            let ids = session.pending_ids(experiment, plan.len());
-            let results = runner.run_fold_tap_subset(plan, &ids, fold, &|scenario, value| {
-                session.record(experiment, scenario.id, &(codec.encode)(value))
-            })?;
-            let timing = results.timing(plan);
-            Ok(PlanValues {
-                values: None,
-                timing,
-            })
-        }
-        SweepExec::Merge(merged) => {
-            let mut values = Vec::with_capacity(plan.len());
-            for scenario in plan.scenarios() {
-                let raw = merged.value(experiment, scenario.id)?;
-                let value = (codec.decode)(raw).map_err(|e| {
-                    SimError::internal(format!(
-                        "experiment {experiment} scenario {}: {e}",
-                        scenario.id
-                    ))
-                })?;
-                tap(scenario, &value)?;
-                values.push(value);
-            }
-            Ok(PlanValues {
-                values: Some(values),
-                timing: SweepTiming::default(),
-            })
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Field codec helpers
-// ---------------------------------------------------------------------------
-
-/// Encodes an `f64` for exact round-tripping: finite values use the JSON
-/// number's shortest-representation writer (which round-trips bit-for-bit),
-/// non-finite values — which report JSON writes as `null` — become the
-/// strings `"inf"` / `"-inf"` / `"nan"`.
-pub fn enc_f64(v: f64) -> Value {
-    if v.is_finite() {
-        Value::from(v)
-    } else if v.is_nan() {
-        Value::from("nan")
-    } else if v > 0.0 {
-        Value::from("inf")
-    } else {
-        Value::from("-inf")
-    }
-}
-
-/// Decodes [`enc_f64`]'s output.
-///
-/// # Errors
-///
-/// Anything that is neither a JSON number nor one of the non-finite
-/// sentinels.
-pub fn dec_f64(v: &Value) -> Result<f64, SimError> {
-    match v {
-        Value::String(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            other => Err(SimError::internal(format!(
-                "expected a number or non-finite sentinel, found {other:?}"
-            ))),
-        },
-        other => other
-            .as_f64()
-            .ok_or_else(|| SimError::internal(format!("expected a number, found {other:?}"))),
-    }
-}
-
-/// Encodes a `u64` exactly (the JSON layer's `Uint` path).
-pub fn enc_u64(v: u64) -> Value {
-    Value::from(v)
-}
-
-/// Decodes [`enc_u64`]'s output.
-///
-/// # Errors
-///
-/// Anything that is not an unsigned integer.
-pub fn dec_u64(v: &Value) -> Result<u64, SimError> {
-    v.as_u64()
-        .ok_or_else(|| SimError::internal(format!("expected an unsigned integer, found {v:?}")))
-}
-
-/// Encodes a [`SimTime`] as exact nanoseconds.
-pub fn enc_time(t: SimTime) -> Value {
-    Value::from(t.as_nanos())
-}
-
-/// Decodes [`enc_time`]'s output.
-///
-/// # Errors
-///
-/// Anything that is not an unsigned integer.
-pub fn dec_time(v: &Value) -> Result<SimTime, SimError> {
-    dec_u64(v).map(SimTime::from_nanos)
-}
-
-/// Looks up a required field of a checkpoint value object.
-///
-/// # Errors
-///
-/// Names the missing field (schema drift the fingerprint should have
-/// caught — or a hand-edited checkpoint).
-pub fn field<'a>(obj: &'a Value, key: &str) -> Result<&'a Value, SimError> {
-    obj.get(key)
-        .ok_or_else(|| SimError::internal(format!("checkpoint value is missing field {key:?}")))
 }
 
 #[cfg(test)]
@@ -809,9 +648,14 @@ mod tests {
         assert_eq!(parsed.schema, schema_fingerprint());
     }
 
+    /// A one-value fold record, for the session tests.
+    fn single(v: f64) -> Metrics {
+        Metrics::default().with_value("v", v)
+    }
+
     #[test]
     fn f64_codec_round_trips_exactly() {
-        for v in [
+        let values = [
             0.0,
             -0.0,
             1.5,
@@ -822,18 +666,36 @@ mod tests {
             f64::MIN_POSITIVE,
             f64::INFINITY,
             f64::NEG_INFINITY,
-        ] {
-            // Through the actual JSON writer + parser, like a real checkpoint.
-            let line = Value::Object(vec![("v".to_string(), enc_f64(v))]).to_json();
-            let back = dec_f64(json::parse(&line).unwrap().get("v").unwrap()).unwrap();
-            assert_eq!(back.to_bits(), v.to_bits(), "{v}");
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_dead_beef),
+        ];
+        let mut metrics = values
+            .iter()
+            .enumerate()
+            .fold(Metrics::default(), |m, (i, &v)| {
+                m.with_value(format!("v{i}"), v)
+            })
+            .with_series("depth_0", vec![0, 3, u32::MAX])
+            .with_series("depth_1", vec![7]);
+        metrics.series.push(("empty".to_string(), Vec::new()));
+        // Through the actual JSON writer + parser, like a real checkpoint.
+        let line = record_line("saturation", 5, &metrics);
+        let (experiment, id, back) = parse_record(&line).unwrap();
+        assert_eq!((experiment.as_str(), id), ("saturation", 5));
+        assert_eq!(back.series, metrics.series);
+        assert_eq!(back.values.len(), values.len());
+        for ((name, want), (got_name, got)) in metrics.values.iter().zip(&back.values) {
+            assert_eq!(name, got_name);
+            assert_eq!(got.to_bits(), want.to_bits(), "{name}: {want}");
         }
-        let line = Value::Object(vec![("v".to_string(), enc_f64(f64::NAN))]).to_json();
-        assert!(dec_f64(json::parse(&line).unwrap().get("v").unwrap())
-            .unwrap()
-            .is_nan());
-        assert!(dec_f64(&Value::from("bogus")).is_err());
-        assert!(dec_f64(&Value::Null).is_err());
+        assert!(decode_metrics(&Value::from("bogus")).is_err());
+        assert!(decode_metrics(&Value::object([("v", Value::from(-1.5))])).is_err());
+        assert!(decode_metrics(&Value::object([(
+            "s",
+            Value::Array(vec![Value::from(u64::from(u32::MAX) + 1)])
+        )]))
+        .is_err());
     }
 
     #[test]
@@ -845,8 +707,8 @@ mod tests {
             let session = ShardSession::open(&path, manifest(spec)).unwrap();
             assert_eq!(session.resumed(), 0);
             assert_eq!(session.pending_ids("fig2", 5), vec![0, 2, 4]);
-            session.record("fig2", 0, &enc_u64(10)).unwrap();
-            session.record("fig2", 2, &enc_u64(20)).unwrap();
+            session.record("fig2", 0, &single(10.0)).unwrap();
+            session.record("fig2", 2, &single(20.0)).unwrap();
             assert_eq!(session.written(), 2);
         }
         // Reopen: the two records are recovered, only id 4 is pending.
@@ -865,8 +727,8 @@ mod tests {
         let spec = ShardSpec { index: 1, count: 3 };
         {
             let session = ShardSession::open(&path, manifest(spec)).unwrap();
-            session.record("fig2", 1, &enc_u64(1)).unwrap();
-            session.record("fig2", 4, &enc_u64(4)).unwrap();
+            session.record("fig2", 1, &single(1.0)).unwrap();
+            session.record("fig2", 4, &single(4.0)).unwrap();
         }
         // Simulate a kill mid-write: chop the last line in half.
         let text = std::fs::read_to_string(&path).unwrap();
@@ -880,6 +742,38 @@ mod tests {
         for line in rewritten.lines() {
             json::parse(line).unwrap();
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A last record whose `\n` never reached the disk is torn even though
+    /// it parses: resuming drops it, keeps every earlier record in place,
+    /// and the re-run record lands on its own line.
+    #[test]
+    fn unterminated_last_record_is_torn_and_the_next_record_starts_a_new_line() {
+        let dir = temp_dir("unterminated");
+        let path = dir.join("shard.jsonl");
+        let spec = ShardSpec { index: 0, count: 1 };
+        {
+            let session = ShardSession::open(&path, manifest(spec)).unwrap();
+            for id in 0..3 {
+                session.record("fig2", id, &single(id as f64)).unwrap();
+            }
+        }
+        let complete = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, complete.strip_suffix('\n').unwrap()).unwrap();
+
+        let session = ShardSession::open(&path, manifest(spec)).unwrap();
+        assert_eq!(session.resumed(), 2, "the unterminated record is torn");
+        assert_eq!(session.pending_ids("fig2", 3), vec![2]);
+        let kept = complete
+            .lines()
+            .take(3)
+            .map(|l| format!("{l}\n"))
+            .collect::<String>();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), kept);
+        session.record("fig2", 2, &single(2.0)).unwrap();
+        drop(session);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), complete);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -912,7 +806,7 @@ mod tests {
             let session = ShardSession::open(path, manifest(spec)).unwrap();
             for id in spec.stripe(7) {
                 session
-                    .record("fig2", id, &enc_u64(id as u64 * 10))
+                    .record("fig2", id, &single(id as f64 * 10.0))
                     .unwrap();
             }
         }
@@ -920,10 +814,7 @@ mod tests {
         assert_eq!(merged.len(), 7);
         assert!(!merged.is_empty());
         for id in 0..7 {
-            assert_eq!(
-                dec_u64(merged.value("fig2", id).unwrap()).unwrap(),
-                id as u64 * 10
-            );
+            assert_eq!(merged.value("fig2", id).unwrap(), &single(id as f64 * 10.0));
         }
         let missing = merged.value("fig2", 7).unwrap_err();
         assert!(missing.to_string().contains("scenario 7"), "{missing}");

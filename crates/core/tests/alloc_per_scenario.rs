@@ -49,7 +49,7 @@ fn plan(scenarios: usize, min_completions: u32) -> SweepPlan {
 
 /// Per-scenario allocation counts of a sequential streaming run.
 fn allocs_per_scenario(plan: &SweepPlan) -> Vec<u64> {
-    SweepRunner::sequential()
+    SweepRunner::new(1)
         .run_fold(plan, &|_, run| Ok(run.events_processed()))
         .unwrap()
         .outcomes()

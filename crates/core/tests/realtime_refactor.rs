@@ -180,23 +180,25 @@ fn gcaps_without_deadlines_is_decision_identical_to_ppq() {
     }
 }
 
-/// The tap observes every fold output in completion order, and a JSONL
-/// sink fed by it lands one parseable line per scenario.
+/// A fold that appends its record to a JSONL sink spills every scenario in
+/// completion order: one parseable line per scenario.
 #[test]
-fn run_fold_tap_streams_every_scenario_to_the_jsonl_sink() {
+fn folding_into_a_jsonl_sink_streams_every_scenario() {
     use gpreempt::sweep::JsonlSink;
 
     let plan = legacy_plan();
-    let dir = std::env::temp_dir().join(format!("gpreempt-tap-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("gpreempt-spill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("records.jsonl");
     let sink = JsonlSink::create(&path).unwrap();
 
     let folded = SweepRunner::new(2)
-        .run_fold_tap(&plan, &|s, run| Ok(fingerprint(s, &run)), &|_, record| {
-            sink.append(record)
+        .run_fold(&plan, &|s, run| {
+            let record = fingerprint(s, &run);
+            sink.append(&record)?;
+            Ok(record)
         })
-        .expect("tap sweep runs");
+        .expect("spilling sweep runs");
     assert_eq!(folded.len(), plan.len());
     assert_eq!(sink.written(), plan.len() as u64);
 

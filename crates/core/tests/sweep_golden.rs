@@ -1,21 +1,19 @@
 //! Golden byte-identity fixture for the full experiment sweep.
 //!
-//! Assembles the exact combined report `run_sweep --experiment all
-//! --format json` emits — fig2, priority, spatial, mechanism, realtime and
-//! saturation merged in that order over one shared isolated-run cache — at
-//! a trimmed quick scale, and pins its bytes. Whole-engine workspace reuse,
-//! parallel execution and every future refactor must reproduce this file
-//! bit for bit; an *intentional* output change regenerates it with:
+//! Runs the exact experiment table `run_sweep --experiment all --format
+//! json` runs ([`run_suite`]: fig2, priority, spatial, mechanism, realtime
+//! and saturation merged in that order over one shared isolated-run cache)
+//! at a trimmed quick scale, and pins the combined report's bytes.
+//! Whole-engine workspace reuse, parallel execution and every future
+//! refactor must reproduce this file bit for bit (`tests/sweep_shard.rs`
+//! holds a 3-shard run plus merge to it too); an *intentional* output
+//! change regenerates it with:
 //!
 //! ```text
 //! GPREEMPT_BLESS=1 cargo test -p gpreempt --test sweep_golden
 //! ```
 
-use gpreempt::experiments::{
-    ExperimentScale, Fig2Results, IsolatedRunCache, MechanismResults, PriorityResults,
-    RealtimeResults, SaturationResults, SpatialResults,
-};
-use gpreempt::sweep::{SweepReport, SweepRunner};
+use gpreempt::experiments::{run_suite, ExperimentScale, SweepCtx};
 use gpreempt::SimulatorConfig;
 
 const GOLDEN: &str = concat!(
@@ -23,45 +21,18 @@ const GOLDEN: &str = concat!(
     "/tests/golden/all_experiments_sweep.json"
 );
 
-/// `run_sweep --experiment all --format json`, in miniature: same
-/// experiment order, same shared cache, smaller scale.
+/// `run_sweep --experiment all --format json`, in miniature: same table,
+/// same shared cache, smaller scale.
 fn all_experiments_json(jobs: usize) -> String {
-    let config = SimulatorConfig::default();
     let mut scale = ExperimentScale::quick().with_benchmarks(["spmv", "sgemm", "mri-q"]);
     scale.workload_sizes = vec![2];
     scale.reps_per_benchmark = 1;
     scale.random_workloads = 2;
-
-    let runner = SweepRunner::new(jobs);
-    let cache = IsolatedRunCache::new();
-    let mut report = SweepReport::new(scale.seed);
-    report.merge(Fig2Results::run_with(&config, &runner).unwrap().report());
-    report.merge(
-        PriorityResults::run_with_cache(&config, &scale, &runner, &cache)
-            .unwrap()
-            .report(),
-    );
-    report.merge(
-        SpatialResults::run_with_cache(&config, &scale, &runner, &cache)
-            .unwrap()
-            .report(),
-    );
-    report.merge(
-        MechanismResults::run_with_cache(&config, &scale, &runner, &cache)
-            .unwrap()
-            .report(),
-    );
-    report.merge(
-        RealtimeResults::run_streaming(&config, &scale, &runner, &cache, None)
-            .unwrap()
-            .report(),
-    );
-    report.merge(
-        SaturationResults::run_streaming(&config, &scale, &runner, &cache, None)
-            .unwrap()
-            .report(),
-    );
-    report.to_json()
+    let mut ctx = SweepCtx::new(SimulatorConfig::default(), scale, jobs);
+    run_suite("all", &mut ctx, &|_, _| {})
+        .unwrap()
+        .report
+        .to_json()
 }
 
 #[test]

@@ -9,10 +9,10 @@
 
 use gpreempt::config::{PolicyKind, SimulatorConfig};
 use gpreempt::experiments::{
-    simulator_with_mechanism, ExperimentScale, Fig2Results, IsolatedRunCache, IsolatedTimes,
-    MechanismResults, PriorityConfig, PriorityResults, SpatialConfig, SpatialResults,
+    self, Experiment, ExperimentScale, Fig2Results, Fig2Sweep, MechanismSweep, PriorityConfig,
+    PrioritySweep, SpatialConfig, SpatialSweep, SweepCtx,
 };
-use gpreempt::sweep::{Scenario, SweepPlan, SweepRecord, SweepReport, SweepRunner};
+use gpreempt::sweep::{Scenario, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming};
 use gpreempt::Simulator;
 use gpreempt_gpu::PreemptionMechanism;
 use gpreempt_trace::{parboil, ProcessSpec, Workload};
@@ -24,6 +24,23 @@ type SpatialExpectation = (SpatialConfig, f64, f64, f64, Vec<f64>);
 /// Per-configuration expectations of one prioritised workload:
 /// (config, high-priority ntt, stp).
 type PriorityExpectation = (PriorityConfig, f64, f64);
+
+/// Runs one experiment in full mode under `ctx`.
+fn run<E: Experiment + Default>(ctx: &mut SweepCtx<'_>) -> (E::Results, SweepTiming) {
+    experiments::run::<E>(ctx)
+        .unwrap()
+        .expect("a full run aggregates")
+}
+
+/// Runs one experiment in full mode on `jobs` workers with a fresh cache.
+fn fresh<E: Experiment + Default>(scale: &ExperimentScale, jobs: usize) -> E::Results {
+    run::<E>(&mut SweepCtx::new(
+        SimulatorConfig::default(),
+        scale.clone(),
+        jobs,
+    ))
+    .0
+}
 
 fn tiny_scale() -> ExperimentScale {
     let mut scale = ExperimentScale::quick().with_benchmarks(["spmv", "sgemm", "mri-q"]);
@@ -40,17 +57,20 @@ fn spatial_results_match_the_pre_sweep_sequential_loop() {
 
     // The pre-refactor loop, verbatim.
     let mut generator = scale.generator(&config);
-    let mut isolated = IsolatedTimes::new();
-    let reference_sim = simulator_with_mechanism(&config, PreemptionMechanism::ContextSwitch);
+    let reference_sim = Simulator::new(
+        config
+            .clone()
+            .with_mechanism(PreemptionMechanism::ContextSwitch),
+    );
     let mut expected: Vec<(String, Vec<SpatialExpectation>)> = Vec::new();
     for &size in &scale.workload_sizes {
         for workload in generator.random_population(size, scale.random_workloads) {
             let workload = scale.finalize(workload);
-            let iso = isolated.for_workload(&reference_sim, &workload).unwrap();
+            let iso = reference_sim.isolated_times(&workload).unwrap();
             let mut per_cfg = Vec::new();
             for cfg in SpatialConfig::all() {
                 let (policy, mechanism) = cfg.policy_and_mechanism();
-                let sim = simulator_with_mechanism(&config, mechanism);
+                let sim = Simulator::new(config.clone().with_mechanism(mechanism));
                 let run = sim.run(&workload, policy).unwrap();
                 let metrics = run.metrics(&iso).unwrap();
                 per_cfg.push((
@@ -66,7 +86,7 @@ fn spatial_results_match_the_pre_sweep_sequential_loop() {
     }
 
     for jobs in [1usize, 2, 8] {
-        let results = SpatialResults::run_with(&config, &scale, &SweepRunner::new(jobs)).unwrap();
+        let results = fresh::<SpatialSweep>(&scale, jobs);
         assert_eq!(results.records().len(), expected.len(), "jobs={jobs}");
         for (record, (name, per_cfg)) in results.records().iter().zip(&expected) {
             assert_eq!(&record.workload, name, "jobs={jobs}");
@@ -87,18 +107,21 @@ fn priority_results_match_the_pre_sweep_sequential_loop() {
     let scale = tiny_scale();
 
     let mut generator = scale.generator(&config);
-    let mut isolated = IsolatedTimes::new();
-    let reference_sim = simulator_with_mechanism(&config, PreemptionMechanism::ContextSwitch);
+    let reference_sim = Simulator::new(
+        config
+            .clone()
+            .with_mechanism(PreemptionMechanism::ContextSwitch),
+    );
     let mut expected: Vec<(String, Vec<PriorityExpectation>)> = Vec::new();
     for &size in &scale.workload_sizes {
         for workload in generator.prioritized_population(size, scale.reps_per_benchmark) {
             let workload = scale.finalize(workload);
-            let iso = isolated.for_workload(&reference_sim, &workload).unwrap();
+            let iso = reference_sim.isolated_times(&workload).unwrap();
             let hp = workload.high_priority_process().unwrap();
             let mut per_cfg = Vec::new();
             for cfg in PriorityConfig::all() {
                 let (policy, mechanism) = cfg.policy_and_mechanism();
-                let sim = simulator_with_mechanism(&config, mechanism);
+                let sim = Simulator::new(config.clone().with_mechanism(mechanism));
                 let run = sim.run(&workload, policy).unwrap();
                 let metrics = run.metrics(&iso).unwrap();
                 per_cfg.push((cfg, metrics.ntt()[hp.index()], metrics.stp()));
@@ -108,7 +131,7 @@ fn priority_results_match_the_pre_sweep_sequential_loop() {
     }
 
     for jobs in [1usize, 4] {
-        let results = PriorityResults::run_with(&config, &scale, &SweepRunner::new(jobs)).unwrap();
+        let results = fresh::<PrioritySweep>(&scale, jobs);
         assert_eq!(results.records().len(), expected.len(), "jobs={jobs}");
         for (record, (name, per_cfg)) in results.records().iter().zip(&expected) {
             assert_eq!(&record.workload, name, "jobs={jobs}");
@@ -132,31 +155,35 @@ fn fig2_results_match_the_pre_sweep_sequential_loop() {
     let workload = Fig2Results::workload();
     let mut expected = Vec::new();
     for policy in [PolicyKind::Fcfs, PolicyKind::Npq, PolicyKind::PpqExclusive] {
-        let sim = simulator_with_mechanism(&config, PreemptionMechanism::ContextSwitch);
+        let sim = Simulator::new(
+            config
+                .clone()
+                .with_mechanism(PreemptionMechanism::ContextSwitch),
+        );
         let run = sim.run(&workload, policy).unwrap();
         expected.push((policy, run.end_time(), run.events_processed()));
     }
 
+    let fig2 = |jobs| -> Fig2Results { fresh::<Fig2Sweep>(&tiny_scale(), jobs) };
     for jobs in [1usize, 3] {
-        let results = Fig2Results::run_with(&config, &SweepRunner::new(jobs)).unwrap();
+        let results = fig2(jobs);
         assert_eq!(results.timelines.len(), 3);
         for (timeline, (policy, _, _)) in results.timelines.iter().zip(&expected) {
             assert_eq!(timeline.policy, *policy);
         }
         // The timelines derive deterministically from the same runs.
-        let sequential = Fig2Results::run(&config).unwrap();
+        let sequential = fig2(1);
         assert_eq!(results, sequential, "jobs={jobs}");
     }
 }
 
 #[test]
 fn mechanism_results_are_identical_across_worker_counts() {
-    let config = SimulatorConfig::default();
     let mut scale = tiny_scale();
     scale.random_workloads = 2;
 
-    let sequential = MechanismResults::run(&config, &scale).unwrap();
-    let parallel = MechanismResults::run_with(&config, &scale, &SweepRunner::new(4)).unwrap();
+    let sequential = fresh::<MechanismSweep>(&scale, 1);
+    let parallel = fresh::<MechanismSweep>(&scale, 4);
     assert_eq!(sequential.records().len(), parallel.records().len());
     for (a, b) in sequential.records().iter().zip(parallel.records()) {
         assert_eq!(a.workload, b.workload);
@@ -168,11 +195,8 @@ fn mechanism_results_are_identical_across_worker_counts() {
 
 #[test]
 fn harness_reports_cover_every_record_and_validate() {
-    let config = SimulatorConfig::default();
-    let scale = tiny_scale();
-    let runner = SweepRunner::new(2);
-
-    let spatial = SpatialResults::run_with(&config, &scale, &runner).unwrap();
+    let mut ctx = SweepCtx::new(SimulatorConfig::default(), tiny_scale(), 2);
+    let (spatial, timing) = run::<SpatialSweep>(&mut ctx);
     let report = spatial.report();
     assert_eq!(
         report.len(),
@@ -181,14 +205,10 @@ fn harness_reports_cover_every_record_and_validate() {
     let n = gpreempt::SweepReport::validate_json(&report.to_json()).unwrap();
     assert_eq!(n, report.len());
     // Timing covers the isolated phase plus every main-phase scenario.
-    assert!(spatial.timing().entries.len() >= report.len());
-    assert!(spatial
-        .timing()
-        .entries
-        .iter()
-        .any(|e| e.group == "isolated"));
+    assert!(timing.entries.len() >= report.len());
+    assert!(timing.entries.iter().any(|e| e.group == "isolated"));
 
-    let fig2 = Fig2Results::run_with(&config, &runner).unwrap();
+    let (fig2, _) = run::<Fig2Sweep>(&mut ctx);
     assert_eq!(fig2.report().len(), 3);
     assert!(gpreempt::SweepReport::validate_json(&fig2.report().to_json()).is_ok());
 }
@@ -237,21 +257,20 @@ fn streaming_plan() -> SweepPlan {
     plan
 }
 
-/// The streaming fold path (`run_fold`, at most one run per worker in
-/// memory) must serialise to exactly the bytes of the keep-runs path
-/// (`run`, every run retained and folded afterwards) — at jobs 1, 2 and 8.
+/// Folding on the worker (at most one run per worker in memory) must
+/// serialise to exactly the bytes of keeping every run (the identity fold)
+/// and folding afterwards — at jobs 1, 2 and 8.
 #[test]
 fn folded_reports_are_byte_identical_to_keep_runs_reports() {
     let plan = streaming_plan();
 
-    // keep_runs reference (sequential, runs retained, folded post-hoc).
-    let keep = SweepRunner::sequential().run(&plan).unwrap();
+    // Reference: sequential, every run retained, folded post-hoc.
+    let keep = SweepRunner::new(1)
+        .run_fold(&plan, &|_, run| Ok(run))
+        .unwrap();
     let mut keep_report = SweepReport::new(plan.seed());
-    for result in keep.results() {
-        keep_report.push(record_of(
-            &plan.scenarios()[result.scenario_id],
-            &result.run,
-        ));
+    for o in keep.outcomes() {
+        keep_report.push(record_of(&plan.scenarios()[o.scenario_id], &o.value));
     }
     let expected = keep_report.to_json();
 
@@ -260,11 +279,7 @@ fn folded_reports_are_byte_identical_to_keep_runs_reports() {
             .run_fold(&plan, &|scenario, run| Ok(record_of(scenario, &run)))
             .unwrap();
         // Event accounting survives the fold.
-        assert_eq!(
-            folded.events_total(),
-            keep.results().iter().map(|r| r.events).sum::<u64>(),
-            "jobs={jobs}"
-        );
+        assert_eq!(folded.events_total(), keep.events_total(), "jobs={jobs}");
         let mut report = SweepReport::new(plan.seed());
         for record in folded.into_values() {
             report.push(record);
@@ -273,56 +288,49 @@ fn folded_reports_are_byte_identical_to_keep_runs_reports() {
     }
 }
 
-/// Sharing one [`IsolatedRunCache`] across experiments must (a) not change
+/// Sharing one isolated-run cache across experiments must (a) not change
 /// a single output byte and (b) run each distinct isolated scenario exactly
 /// once: the second and third experiments reuse the first's isolated runs
 /// and enumerate zero "isolated" scenarios of their own.
 #[test]
 fn shared_isolated_cache_runs_each_isolated_scenario_exactly_once() {
-    let config = SimulatorConfig::default();
     let scale = tiny_scale();
-    let runner = SweepRunner::new(2);
-
-    let cache = IsolatedRunCache::new();
-    let spatial = SpatialResults::run_with_cache(&config, &scale, &runner, &cache).unwrap();
-    let simulated_by_first = cache.misses();
+    let mut ctx = SweepCtx::new(SimulatorConfig::default(), scale.clone(), 2);
+    let (spatial, _) = run::<SpatialSweep>(&mut ctx);
+    let simulated_by_first = ctx.cache.misses();
     assert!(simulated_by_first > 0, "first experiment fills the cache");
-    assert_eq!(cache.len() as u64, simulated_by_first);
+    assert_eq!(ctx.cache.len() as u64, simulated_by_first);
 
     // Mechanism draws the exact same random population as spatial, so its
     // isolated phase is fully served from the cache: zero new simulations,
     // zero enumerated "isolated" scenarios.
-    let mechanism = MechanismResults::run_with_cache(&config, &scale, &runner, &cache).unwrap();
+    let (mechanism, timing) = run::<MechanismSweep>(&mut ctx);
     assert_eq!(
-        cache.misses(),
+        ctx.cache.misses(),
         simulated_by_first,
         "mechanism must not recompute isolated runs"
     );
     assert!(
-        mechanism
-            .timing()
-            .entries
-            .iter()
-            .all(|e| e.group != "isolated"),
+        timing.entries.iter().all(|e| e.group != "isolated"),
         "mechanism re-ran isolated scenarios"
     );
 
     // Priority's population may introduce benchmarks spatial never drew;
     // those (and only those) are simulated. Globally, every distinct
     // benchmark is simulated exactly once: misses == cache entries.
-    let priority = PriorityResults::run_with_cache(&config, &scale, &runner, &cache).unwrap();
+    let (priority, _) = run::<PrioritySweep>(&mut ctx);
     assert_eq!(
-        cache.misses(),
-        cache.len() as u64,
+        ctx.cache.misses(),
+        ctx.cache.len() as u64,
         "a cached isolated run was recomputed"
     );
-    assert!(cache.hits() > 0, "later experiments hit the cache");
+    assert!(ctx.cache.hits() > 0, "later experiments hit the cache");
 
     // Cached isolated times are bit-identical to freshly computed ones, so
     // the reports agree byte for byte with uncached runs.
-    let spatial_fresh = SpatialResults::run_with(&config, &scale, &runner).unwrap();
-    let mechanism_fresh = MechanismResults::run_with(&config, &scale, &runner).unwrap();
-    let priority_fresh = PriorityResults::run_with(&config, &scale, &runner).unwrap();
+    let spatial_fresh = fresh::<SpatialSweep>(&scale, 2);
+    let mechanism_fresh = fresh::<MechanismSweep>(&scale, 2);
+    let priority_fresh = fresh::<PrioritySweep>(&scale, 2);
     assert_eq!(spatial.report().to_json(), spatial_fresh.report().to_json());
     assert_eq!(
         mechanism.report().to_json(),
@@ -339,18 +347,25 @@ fn isolated_sweep_times_match_simulator_isolated_times() {
     let config = SimulatorConfig::default();
     let scale = tiny_scale();
     let mut generator = scale.generator(&config);
-    let workload = scale.finalize(generator.random_workload(2));
+    let pair = generator.random_workload(2);
+    // A repeated benchmark is simulated once and reported per process.
+    let mut processes = pair.processes().to_vec();
+    processes.push(processes[0].clone());
+    let workload = Workload::new("repeat", processes);
     let reference = Simulator::new(
         config
             .clone()
             .with_mechanism(PreemptionMechanism::ContextSwitch),
     );
     let expected = reference.isolated_times(&workload).unwrap();
-    let (cache, _) = gpreempt::experiments::isolated_times_via(
-        &SweepRunner::new(2),
-        &config,
-        std::iter::once(&workload),
-    )
-    .unwrap();
-    assert_eq!(cache.times_for(&workload).unwrap(), expected);
+    for jobs in [1, 4] {
+        let mut ctx = SweepCtx::new(config.clone(), scale.clone(), jobs);
+        let times = ctx.isolated_times([&workload]).unwrap();
+        assert_eq!(times.times_for(&workload).unwrap(), expected, "jobs={jobs}");
+        assert_eq!(
+            times.len() as u64,
+            ctx.cache.misses(),
+            "one run per benchmark"
+        );
+    }
 }

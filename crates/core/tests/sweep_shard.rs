@@ -1,14 +1,21 @@
 //! Sharded sweep execution: the stripe partition is exact for any plan and
 //! shard count, a killed shard resumes from its checkpoint discarding a
 //! torn tail, and the merged output is byte-identical to an unsharded
-//! multi-worker run.
+//! multi-worker run — for fig2 alone and for the whole experiment table.
 
-use gpreempt::sweep::{
-    MergedValues, ShardManifest, ShardSession, ShardSpec, SweepExec, SweepRunner,
-};
-use gpreempt::{experiments::Fig2Results, SimulatorConfig};
+use gpreempt::experiments::{self, run_suite, ExperimentScale, Fig2Results, Fig2Sweep, SweepCtx};
+use gpreempt::sweep::{MergedValues, ShardManifest, ShardSession, ShardSpec, SweepExec};
+use gpreempt::SimulatorConfig;
 use proptest::prelude::*;
 use std::path::PathBuf;
+
+/// Runs fig2 on `jobs` workers under `exec`; `None` for a shard run.
+fn fig2(exec: SweepExec<'_>, jobs: usize) -> Option<Fig2Results> {
+    let mut ctx = SweepCtx::new(SimulatorConfig::default(), ExperimentScale::quick(), jobs);
+    ctx.exec = exec;
+    let ran = experiments::run::<Fig2Sweep>(&mut ctx).unwrap();
+    ran.map(|(results, _)| results)
+}
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -53,8 +60,7 @@ proptest! {
 /// bytes.
 #[test]
 fn merged_shards_match_unsharded_two_worker_run() {
-    let config = SimulatorConfig::default();
-    let full = Fig2Results::run_with(&config, &SweepRunner::new(2)).unwrap();
+    let full = fig2(SweepExec::Full, 2).unwrap();
 
     let paths: Vec<PathBuf> = (0..3).map(|k| temp_path(&format!("merge-{k}"))).collect();
     for (k, path) in paths.iter().enumerate() {
@@ -64,19 +70,12 @@ fn merged_shards_match_unsharded_two_worker_run() {
             count: 3,
         };
         let session = ShardSession::open(path, manifest(spec)).unwrap();
-        let out = Fig2Results::run_exec(&config, &SweepRunner::new(2), &SweepExec::Shard(&session))
-            .unwrap();
+        let out = fig2(SweepExec::Shard(&session), 2);
         assert!(out.is_none(), "a shard run yields no aggregated results");
     }
 
     let merged = MergedValues::load(&paths).unwrap();
-    let replayed = Fig2Results::run_exec(
-        &config,
-        &SweepRunner::sequential(),
-        &SweepExec::Merge(&merged),
-    )
-    .unwrap()
-    .expect("merge yields results");
+    let replayed = fig2(SweepExec::Merge(&merged), 1).expect("merge yields results");
     assert_eq!(replayed, full);
     assert_eq!(replayed.report().to_json(), full.report().to_json());
 
@@ -92,18 +91,12 @@ fn merged_shards_match_unsharded_two_worker_run() {
 /// results are identical to the uninterrupted run's.
 #[test]
 fn killed_shard_resumes_and_matches() {
-    let config = SimulatorConfig::default();
     let spec = ShardSpec { index: 0, count: 1 };
     let path = temp_path("resume");
     let _ = std::fs::remove_file(&path);
 
     let session = ShardSession::open(&path, manifest(spec)).unwrap();
-    Fig2Results::run_exec(
-        &config,
-        &SweepRunner::sequential(),
-        &SweepExec::Shard(&session),
-    )
-    .unwrap();
+    fig2(SweepExec::Shard(&session), 1);
     assert_eq!(session.written(), 3);
     drop(session);
     let complete = std::fs::read_to_string(&path).unwrap();
@@ -120,15 +113,10 @@ fn killed_shard_resumes_and_matches() {
     assert_eq!(
         std::fs::read_to_string(&path).unwrap(),
         kept,
-        "reopening must rewrite the file without the torn tail"
+        "reopening must cut the torn tail off the file"
     );
     assert_eq!(session.pending_ids("fig2", 3), vec![1, 2]);
-    Fig2Results::run_exec(
-        &config,
-        &SweepRunner::sequential(),
-        &SweepExec::Shard(&session),
-    )
-    .unwrap();
+    fig2(SweepExec::Shard(&session), 1);
     assert_eq!(session.written(), 2, "only the lost scenarios re-run");
     drop(session);
     assert_eq!(
@@ -138,15 +126,8 @@ fn killed_shard_resumes_and_matches() {
     );
 
     let merged = MergedValues::load(&[&path]).unwrap();
-    let replayed = Fig2Results::run_exec(
-        &config,
-        &SweepRunner::sequential(),
-        &SweepExec::Merge(&merged),
-    )
-    .unwrap()
-    .unwrap();
-    let full = Fig2Results::run(&config).unwrap();
-    assert_eq!(replayed, full);
+    let replayed = fig2(SweepExec::Merge(&merged), 1).unwrap();
+    assert_eq!(replayed, fig2(SweepExec::Full, 1).unwrap());
 
     let _ = std::fs::remove_file(&path);
 }
@@ -166,4 +147,46 @@ fn mismatched_manifest_is_rejected() {
     assert!(err.contains("seed"), "error must name the field: {err}");
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// Every experiment of the table, striped three ways (each shard on two
+/// workers) and merged, reproduces the all-experiments golden fixture of
+/// `tests/sweep_golden.rs` byte for byte.
+#[test]
+fn three_shards_of_every_experiment_merge_to_the_golden_report() {
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/all_experiments_sweep.json"
+    ))
+    .expect("golden fixture");
+    // The golden's trimmed quick scale.
+    let mut scale = ExperimentScale::quick().with_benchmarks(["spmv", "sgemm", "mri-q"]);
+    scale.workload_sizes = vec![2];
+    scale.reps_per_benchmark = 1;
+    scale.random_workloads = 2;
+
+    let paths: Vec<PathBuf> = (0..3).map(|k| temp_path(&format!("all-{k}"))).collect();
+    for (k, path) in paths.iter().enumerate() {
+        let _ = std::fs::remove_file(path);
+        let spec = ShardSpec {
+            index: k as u32,
+            count: 3,
+        };
+        let manifest = ShardManifest::new("all", "quick", scale.seed, spec, None);
+        let session = ShardSession::open(path, manifest).unwrap();
+        let mut ctx = SweepCtx::new(SimulatorConfig::default(), scale.clone(), 2);
+        ctx.exec = SweepExec::Shard(&session);
+        let out = run_suite("all", &mut ctx, &|_, _| {}).unwrap();
+        assert!(out.report.is_empty(), "a shard run reports nothing");
+    }
+
+    let merged = MergedValues::load(&paths).unwrap();
+    let mut ctx = SweepCtx::new(SimulatorConfig::default(), scale, 1);
+    ctx.exec = SweepExec::Merge(&merged);
+    let out = run_suite("all", &mut ctx, &|_, _| {}).unwrap();
+    assert_eq!(out.report.to_json(), golden);
+
+    for path in &paths {
+        let _ = std::fs::remove_file(path);
+    }
 }

@@ -7,11 +7,10 @@
 //! cargo run --release --example priority_scheduling
 //! ```
 
-use gpreempt::experiments::{ExperimentScale, PriorityConfig, PriorityResults};
+use gpreempt::experiments::{self, ExperimentScale, PriorityConfig, PrioritySweep, SweepCtx};
 use gpreempt::SimulatorConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = SimulatorConfig::default();
     // A reduced population (five benchmarks, 2- and 4-process workloads) so
     // the example finishes in seconds; `ExperimentScale::paper()` runs the
     // full evaluation.
@@ -21,7 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "running {} prioritised workloads ...",
         scale.workload_sizes.len()
     );
-    let results = PriorityResults::run(&config, &scale)?;
+    let mut ctx = SweepCtx::new(SimulatorConfig::default(), scale.clone(), 1);
+    let (results, _) = experiments::run::<PrioritySweep>(&mut ctx)?.expect("a full run aggregates");
 
     println!("{}", results.render_fig5().render());
     println!("{}", results.render_fig6(false).render());

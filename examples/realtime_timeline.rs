@@ -7,11 +7,12 @@
 //! cargo run --release --example realtime_timeline
 //! ```
 
-use gpreempt::experiments::Fig2Results;
+use gpreempt::experiments::{self, ExperimentScale, Fig2Sweep, SweepCtx};
 use gpreempt::SimulatorConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let results = Fig2Results::run(&SimulatorConfig::default())?;
+    let mut ctx = SweepCtx::new(SimulatorConfig::default(), ExperimentScale::quick(), 1);
+    let (results, _) = experiments::run::<Fig2Sweep>(&mut ctx)?.expect("a full run aggregates");
     println!("{}", results.render().render());
 
     let fcfs = results

@@ -7,18 +7,18 @@
 //! cargo run --release --example spatial_sharing
 //! ```
 
-use gpreempt::experiments::{ExperimentScale, SpatialConfig, SpatialResults};
+use gpreempt::experiments::{self, ExperimentScale, SpatialConfig, SpatialSweep, SweepCtx};
 use gpreempt::SimulatorConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = SimulatorConfig::default();
     let scale = ExperimentScale::quick();
 
     println!(
         "running {} random workloads per size {:?} ...",
         scale.random_workloads, scale.workload_sizes
     );
-    let results = SpatialResults::run(&config, &scale)?;
+    let mut ctx = SweepCtx::new(SimulatorConfig::default(), scale.clone(), 1);
+    let (results, _) = experiments::run::<SpatialSweep>(&mut ctx)?.expect("a full run aggregates");
 
     println!("{}", results.render_fig7a().render());
     println!("{}", results.render_fig7b().render());

@@ -454,9 +454,10 @@ proptest! {
     // keep the case count low; the seeds still vary run to run.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The streaming fold path must serialise to exactly the bytes of the
-    /// opt-in keep-runs path, at every worker count: folding a run on the
-    /// worker (and dropping its body) loses no information a report needs.
+    /// Folding a run on the worker (and dropping its body) must serialise
+    /// to exactly the bytes of keeping every run (the identity fold) and
+    /// folding afterwards, at every worker count: the worker-side fold
+    /// loses no information a report needs.
     #[test]
     fn streamed_fold_reports_match_keep_runs_reports_byte_for_byte(seed in 1u64..100_000) {
         use gpreempt::sweep::{Scenario, SweepPlan, SweepRecord, SweepReport, SweepRunner};
@@ -481,11 +482,12 @@ proptest! {
                 .with_value("end_time_us", run.end_time().as_micros_f64())
         };
 
-        // keep_runs reference: every run retained, folded afterwards.
-        let keep = SweepRunner::sequential().run(&plan).unwrap();
+        // Reference: every run retained (the identity fold), folded
+        // afterwards.
+        let keep = SweepRunner::new(1).run_fold(&plan, &|_, run| Ok(run)).unwrap();
         let mut expected = SweepReport::new(plan.seed());
-        for r in keep.results() {
-            expected.push(fold(&plan.scenarios()[r.scenario_id], &r.run));
+        for o in keep.outcomes() {
+            expected.push(fold(&plan.scenarios()[o.scenario_id], &o.value));
         }
         let expected = expected.to_json();
 
@@ -508,8 +510,7 @@ proptest! {
     /// worker ran them.
     #[test]
     fn sweep_report_json_is_byte_identical_across_worker_counts(seed in 1u64..100_000) {
-        use gpreempt::experiments::{ExperimentScale, SpatialResults};
-        use gpreempt::sweep::SweepRunner;
+        use gpreempt::experiments::{self, ExperimentScale, SpatialSweep, SweepCtx};
         use gpreempt::SimulatorConfig;
 
         let config = SimulatorConfig::default();
@@ -518,16 +519,15 @@ proptest! {
         scale.random_workloads = 2;
         scale.seed = seed;
 
-        let sequential = SpatialResults::run_with(&config, &scale, &SweepRunner::new(1))
-            .unwrap()
-            .report()
-            .to_json();
+        let report = |jobs: usize| {
+            let mut ctx = SweepCtx::new(config.clone(), scale.clone(), jobs);
+            let (results, _) = experiments::run::<SpatialSweep>(&mut ctx).unwrap().unwrap();
+            results.report().to_json()
+        };
+        let sequential = report(1);
         prop_assert!(!sequential.is_empty());
         for jobs in [2usize, 8] {
-            let parallel = SpatialResults::run_with(&config, &scale, &SweepRunner::new(jobs))
-                .unwrap()
-                .report()
-                .to_json();
+            let parallel = report(jobs);
             prop_assert_eq!(&sequential, &parallel, "jobs={}", jobs);
         }
     }
